@@ -213,7 +213,6 @@ func runBenchServe(args []string) error {
 	file := fs.String("file", "", "wasm binary to post on every request")
 	funcSel := fs.String("func", "", "function selector forwarded to the server")
 	topK := fs.Int("k", 0, "beam width forwarded to the server (0 = server default)")
-	fast := fs.Bool("fast", false, "request the fast-math engine")
 	precision := fs.String("precision", "", "request a precision tier (f32 routes to the single-precision engine)")
 	model := fs.String("model", "", "route to a named registry model (default: the server's default model)")
 	qps := fs.Float64("qps", 20, "target arrival rate (open loop)")
@@ -261,9 +260,6 @@ func runBenchServe(args []string) error {
 	}
 	if *topK > 0 {
 		params = append(params, "k="+strconv.Itoa(*topK))
-	}
-	if *fast {
-		params = append(params, "fast=true")
 	}
 	if *precision != "" {
 		params = append(params, "precision="+*precision)

@@ -13,11 +13,11 @@ func xgetbv() (eax, edx uint32)
 // pure-Go path on AVX2 hosts and compare the two bitwise.
 var useAVX2 = detectAVX2()
 
-// useFMA gates the fused-multiply-add inference kernels in
-// kernels_amd64.s (band2pFMA, axpyFMA, ntPanelFMA). FMA uses the same
-// YMM state as AVX2, so it is only probed once detectAVX2 passed. Also
-// a variable so the fast-kernel tests can force the pure-Go math.FMA
-// mirror and compare it to the assembly bitwise.
+// useFMA gates the fused-multiply-add f32 inference kernels in
+// kernels_amd64.s (band2pFMA32, axpyFMA32, dotFMA32, vexpFMA32,
+// vaddFMA32). FMA uses the same YMM state as AVX2, so it is only probed
+// once detectAVX2 passed. Also a variable so the f32 kernel tests can
+// force the pure-Go mirrors and compare them to the assembly.
 var useFMA = useAVX2 && detectFMA()
 
 // detectFMA reports whether the host supports FMA3 (CPUID leaf 1 ECX

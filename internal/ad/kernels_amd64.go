@@ -43,48 +43,16 @@ func axpyAVX2(o, b *float64, s float64, n int)
 //go:noescape
 func ntPanelAVX2(s *[16]float64, a0, a1, a2, a3, panel *float64, k int)
 
-// The FMA kernels below are the fast-math inference siblings
-// (kernels_fast.go): same loop structure and the same ascending-p
-// accumulation order as the bitwise kernels, but every multiply-add is
-// a single VFMADD231PD — one rounding where the training kernels round
-// twice. They are bitwise-identical to the pure-Go math.FMA mirrors in
-// kernels_fast.go (TestFastKernelsFMABitwise), NOT to the scalar
-// references; only fast-math tapes (ad.NewForwardFast) may reach them.
-
-// band2pFMA is band2pAVX2 with fused rounding:
-//
-//	o_r[j] = fma(av[4+r], bq[j], fma(av[r], bp[j], o_r[j]))   r=0..3
-//
-//go:noescape
-func band2pFMA(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n int)
-
-// axpyFMA computes o[j] = fma(s, b[j], o[j]) for j=0..n-1.
-//
-//go:noescape
-func axpyFMA(o, b *float64, s float64, n int)
-
-// ntPanelFMA is ntPanelAVX2 with fused rounding:
-// s[4*r+jj] = fma(a_r[p], panel[4p+jj], s[4*r+jj]) ascending p.
-//
-//go:noescape
-func ntPanelFMA(s *[16]float64, a0, a1, a2, a3, panel *float64, k int)
-
-// dotFMA returns the striped fused dot product of a[:n] and b[:n]: eight
-// accumulator lanes stepped by 8, reduced ((A0+A2)+(A1+A3)) with
-// A_l = acc[l]+acc[l+4], plus a single-chain fused n%8 tail.
-//
-//go:noescape
-func dotFMA(a, b *float64, n int) float64
-
-// The float32 kernels below serve the f32 inference tier
-// (kernels_f32.go): 8-lane VFMADD231PS where the f64 FMA kernels run 4
-// doubles per vector. Unlike the f64 tiers they are NOT bitwise-pinned
-// to their pure-Go mirrors — the Go mirrors fuse through float64, which
+// The float32 kernels below serve the f32 inference engine
+// (kernels_f32.go): 8-lane VFMADD231PS, one rounding per multiply-add.
+// Unlike the f64 kernels above they are NOT bitwise-pinned to their
+// pure-Go mirrors — the Go mirrors fuse through float64, which
 // can double-round against hardware single-precision FMA on
 // round-to-nearest ties — so asm and fallback are held together by ULP
 // bounds (TestF32KernelsULPBound) instead.
 
-// band2pFMA32 is band2pFMA in float32, 8 lanes per vector:
+// band2pFMA32 is band2pAVX2 in float32 with fused rounding, 8 lanes
+// per vector:
 //
 //	o_r[j] = fma(av[4+r], bq[j], fma(av[r], bp[j], o_r[j]))   r=0..3
 //

@@ -226,259 +226,8 @@ ntdone:
 	RET
 
 // ---------------------------------------------------------------------
-// Fast-math inference kernels. Unlike everything above, these use
-// VFMADD231: one rounding per multiply-add. They are bitwise-identical
-// to the pure-Go math.FMA mirrors in kernels_fast.go, NOT to the scalar
-// references, and are reachable only from fast-math forward tapes.
-// ---------------------------------------------------------------------
-
-// func band2pFMA(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n int)
-//
-// o_r[j] = fma(av[4+r], bq[j], fma(av[r], bp[j], o_r[j])), r=0..3.
-TEXT ·band2pFMA(SB), NOSPLIT, $0-64
-	MOVQ o0+0(FP), R8
-	MOVQ o1+8(FP), R9
-	MOVQ o2+16(FP), R10
-	MOVQ o3+24(FP), R11
-	MOVQ bp+32(FP), R12
-	MOVQ bq+40(FP), R13
-	MOVQ av+48(FP), AX
-	MOVQ n+56(FP), CX
-
-	VBROADCASTSD 0(AX), Y0  // av00 (row 0, column p)
-	VBROADCASTSD 8(AX), Y1  // av01 (row 1, column p)
-	VBROADCASTSD 16(AX), Y2 // av02 (row 2, column p)
-	VBROADCASTSD 24(AX), Y3 // av03 (row 3, column p)
-	VBROADCASTSD 32(AX), Y4 // av10 (row 0, column p+1)
-	VBROADCASTSD 40(AX), Y5 // av11 (row 1, column p+1)
-	VBROADCASTSD 48(AX), Y6 // av12 (row 2, column p+1)
-	VBROADCASTSD 56(AX), Y7 // av13 (row 3, column p+1)
-
-	XORQ DX, DX             // j
-	MOVQ CX, BX
-	ANDQ $-4, BX            // vector loop end (n & ^3)
-
-floop4:
-	CMPQ DX, BX
-	JGE  ftail
-	VMOVUPD (R12)(DX*8), Y8 // bp[j:j+4]
-	VMOVUPD (R13)(DX*8), Y9 // bq[j:j+4]
-
-	// row 0: o = fma(av10, bq, fma(av00, bp, o))
-	VMOVUPD     (R8)(DX*8), Y10
-	VFMADD231PD Y8, Y0, Y10
-	VFMADD231PD Y9, Y4, Y10
-	VMOVUPD     Y10, (R8)(DX*8)
-
-	// row 1
-	VMOVUPD     (R9)(DX*8), Y10
-	VFMADD231PD Y8, Y1, Y10
-	VFMADD231PD Y9, Y5, Y10
-	VMOVUPD     Y10, (R9)(DX*8)
-
-	// row 2
-	VMOVUPD     (R10)(DX*8), Y10
-	VFMADD231PD Y8, Y2, Y10
-	VFMADD231PD Y9, Y6, Y10
-	VMOVUPD     Y10, (R10)(DX*8)
-
-	// row 3
-	VMOVUPD     (R11)(DX*8), Y10
-	VFMADD231PD Y8, Y3, Y10
-	VFMADD231PD Y9, Y7, Y10
-	VMOVUPD     Y10, (R11)(DX*8)
-
-	ADDQ $4, DX
-	JMP  floop4
-
-ftail:
-	CMPQ DX, CX
-	JGE  fdone
-	VMOVSD (R12)(DX*8), X8
-	VMOVSD (R13)(DX*8), X9
-
-	// row 0
-	VMOVSD      (R8)(DX*8), X10
-	VFMADD231SD X8, X0, X10
-	VFMADD231SD X9, X4, X10
-	VMOVSD      X10, (R8)(DX*8)
-
-	// row 1
-	VMOVSD      (R9)(DX*8), X10
-	VFMADD231SD X8, X1, X10
-	VFMADD231SD X9, X5, X10
-	VMOVSD      X10, (R9)(DX*8)
-
-	// row 2
-	VMOVSD      (R10)(DX*8), X10
-	VFMADD231SD X8, X2, X10
-	VFMADD231SD X9, X6, X10
-	VMOVSD      X10, (R10)(DX*8)
-
-	// row 3
-	VMOVSD      (R11)(DX*8), X10
-	VFMADD231SD X8, X3, X10
-	VFMADD231SD X9, X7, X10
-	VMOVSD      X10, (R11)(DX*8)
-
-	INCQ DX
-	JMP  ftail
-
-fdone:
-	VZEROUPPER
-	RET
-
-// func axpyFMA(o, b *float64, s float64, n int)
-//
-// o[j] = fma(s, b[j], o[j]).
-TEXT ·axpyFMA(SB), NOSPLIT, $0-32
-	MOVQ o+0(FP), R8
-	MOVQ b+8(FP), R9
-	MOVQ n+24(FP), CX
-	VBROADCASTSD s+16(FP), Y0
-
-	XORQ DX, DX
-	MOVQ CX, BX
-	ANDQ $-8, BX            // 2x-unrolled vector loop end (n & ^7)
-
-faloop8:
-	CMPQ DX, BX
-	JGE  faloop4
-	VMOVUPD     (R9)(DX*8), Y1
-	VMOVUPD     (R8)(DX*8), Y2
-	VFMADD231PD Y1, Y0, Y2
-	VMOVUPD     Y2, (R8)(DX*8)
-	VMOVUPD     32(R9)(DX*8), Y3
-	VMOVUPD     32(R8)(DX*8), Y4
-	VFMADD231PD Y3, Y0, Y4
-	VMOVUPD     Y4, 32(R8)(DX*8)
-	ADDQ        $8, DX
-	JMP         faloop8
-
-faloop4:
-	MOVQ CX, BX
-	ANDQ $-4, BX
-	CMPQ DX, BX
-	JGE  fatail
-	VMOVUPD     (R9)(DX*8), Y1
-	VMOVUPD     (R8)(DX*8), Y2
-	VFMADD231PD Y1, Y0, Y2
-	VMOVUPD     Y2, (R8)(DX*8)
-	ADDQ        $4, DX
-
-fatail:
-	CMPQ DX, CX
-	JGE  fadone
-	VMOVSD      (R9)(DX*8), X1
-	VMOVSD      (R8)(DX*8), X2
-	VFMADD231SD X1, X0, X2
-	VMOVSD      X2, (R8)(DX*8)
-	INCQ        DX
-	JMP         fatail
-
-fadone:
-	VZEROUPPER
-	RET
-
-// func ntPanelFMA(s *[16]float64, a0, a1, a2, a3, panel *float64, k int)
-//
-// ntPanelAVX2 with fused rounding:
-// s[4*r+jj] = fma(a_r[p], panel[4p+jj], s[4*r+jj]) ascending p.
-TEXT ·ntPanelFMA(SB), NOSPLIT, $0-56
-	MOVQ s+0(FP), DI
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ panel+40(FP), R12
-	MOVQ k+48(FP), CX
-
-	VXORPD Y0, Y0, Y0       // s row 0, columns j..j+3
-	VXORPD Y1, Y1, Y1       // s row 1
-	VXORPD Y2, Y2, Y2       // s row 2
-	VXORPD Y3, Y3, Y3       // s row 3
-
-	XORQ DX, DX             // p
-
-fntloop:
-	CMPQ DX, CX
-	JGE  fntdone
-	VMOVUPD      (R12), Y4  // panel[4p : 4p+4]
-	VBROADCASTSD (R8)(DX*8), Y5
-	VFMADD231PD  Y4, Y5, Y0
-	VBROADCASTSD (R9)(DX*8), Y5
-	VFMADD231PD  Y4, Y5, Y1
-	VBROADCASTSD (R10)(DX*8), Y5
-	VFMADD231PD  Y4, Y5, Y2
-	VBROADCASTSD (R11)(DX*8), Y5
-	VFMADD231PD  Y4, Y5, Y3
-	ADDQ         $32, R12
-	INCQ         DX
-	JMP          fntloop
-
-fntdone:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VZEROUPPER
-	RET
-
-// func dotFMA(a, b *float64, n int) float64
-//
-// Striped fused dot product: eight accumulator lanes (two Y registers)
-// walk the vectors in steps of 8, then lane l of the step-8 prefix is
-// reduced as ((A0+A2)+(A1+A3)) with A_l = acc[l]+acc[l+4], and the
-// scalar n%8 tail accumulates on its own fused chain added last. The
-// pure-Go fallback in kernels_fast.go mirrors this exact order.
-TEXT ·dotFMA(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), R8
-	MOVQ b+8(FP), R9
-	MOVQ n+16(FP), CX
-
-	VXORPD Y0, Y0, Y0       // acc[0..3]
-	VXORPD Y1, Y1, Y1       // acc[4..7]
-	VXORPD X5, X5, X5       // scalar tail accumulator
-
-	XORQ DX, DX
-	MOVQ CX, BX
-	ANDQ $-8, BX            // vector loop end (n & ^7)
-
-dloop8:
-	CMPQ DX, BX
-	JGE  dtail
-	VMOVUPD     (R8)(DX*8), Y2
-	VMOVUPD     (R9)(DX*8), Y3
-	VFMADD231PD Y3, Y2, Y0
-	VMOVUPD     32(R8)(DX*8), Y2
-	VMOVUPD     32(R9)(DX*8), Y3
-	VFMADD231PD Y3, Y2, Y1
-	ADDQ        $8, DX
-	JMP         dloop8
-
-dtail:
-	CMPQ DX, CX
-	JGE  dreduce
-	VMOVSD      (R8)(DX*8), X2
-	VMOVSD      (R9)(DX*8), X3
-	VFMADD231SD X3, X2, X5
-	INCQ        DX
-	JMP         dtail
-
-dreduce:
-	VADDPD       Y1, Y0, Y0 // A_l = acc[l] + acc[l+4]
-	VEXTRACTF128 $1, Y0, X1 // X1 = (A2, A3)
-	VADDPD       X1, X0, X0 // (A0+A2, A1+A3)
-	VHADDPD      X0, X0, X0 // (A0+A2)+(A1+A3)
-	VADDSD       X5, X0, X0 // + tail chain
-	VMOVSD       X0, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// ---------------------------------------------------------------------
-// Single-precision inference kernels: the float32 tier, 8 lanes per
-// vector where the f64 FMA kernels run 4. Reachable only from f32
-// forward tapes. NOT bitwise-pinned to the pure-Go mirrors (which fuse
+// Single-precision inference kernels: the f32 engine, 8 lanes per
+// vector with VFMADD231PS. Reachable only from f32 forward tapes. NOT bitwise-pinned to the pure-Go mirrors (which fuse
 // through float64 and can double-round on ties); TestF32KernelsULPBound
 // holds the two paths together instead.
 // ---------------------------------------------------------------------

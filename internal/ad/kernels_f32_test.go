@@ -36,7 +36,9 @@ var f32KernelCases = []f32KernelCase{
 	},
 }
 
-// ulpDiff32 is ulpDiff in float32 bit space.
+// ulpDiff32 returns the distance between two finite same-sign float32s
+// in units in the last place (the number of representable float32s
+// between them).
 func ulpDiff32(x, y float32) uint32 {
 	xb, yb := int32(math.Float32bits(x)), int32(math.Float32bits(y))
 	if xb < 0 {
@@ -51,8 +53,10 @@ func ulpDiff32(x, y float32) uint32 {
 	return uint32(xb - yb)
 }
 
-// withFMA32 is withFMA for float32 kernels: FMA assembly dispatch on
-// (where the host has it) and forced off. Serial only.
+// withFMA32 runs f twice — FMA assembly dispatch on (where the host has
+// it) and forced off, which routes the same kernels through their
+// pure-Go mirrors — and returns both results. Serial only: it flips the
+// package-level dispatch flag.
 func withFMA32(f func() []float32) (asm, golang []float32) {
 	saved := useFMA
 	defer func() { useFMA = saved }()
@@ -340,11 +344,44 @@ func TestF32Transcendentals(t *testing.T) {
 	}
 }
 
-// TestF32Dispatch is the f32 sibling of TestTrainingDispatchBitwise:
-// recording tapes and the f64 forward tapes must keep producing float64
-// results bitwise equal to their own kernels — the f32 flag must be
-// unreachable from them — and only NewForwardF32 computes in float32.
-// Training-only ops must refuse f32 tapes loudly.
+// TestTrainingDispatchBitwise pins which kernel each tape's MatMul
+// reaches through the skip-zero contract, the one input on which the
+// bitwise float64 kernels and the fused f32 kernels must disagree: a
+// zero in A times an Inf in B stays skipped on the recording tapes and
+// the exact forward tape, while the f32 tape fuses it into IEEE NaN.
+func TestTrainingDispatchBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const R, K, C = 8, 64, 48
+	a := New(R, K)
+	b := New(K, C)
+	fillRand(r, a.W, 0)
+	fillRand(r, b.W, 0)
+	for p := 0; p < K; p++ {
+		a.W[p] = 0
+	}
+	b.W[0] = math.Inf(1)
+
+	for name, tape := range map[string]*Tape{
+		"NewTape":     NewTape(),
+		"NewTraining": NewTraining(NewPool()),
+		"NewForward":  NewForward(nil),
+	} {
+		out := tape.MatMul(a, b)
+		for j := 0; j < C; j++ {
+			if math.IsNaN(out.W[j]) {
+				t.Fatalf("%s MatMul materialized NaN at [0,%d]: skip-zero semantics lost", name, j)
+			}
+		}
+	}
+	if out := NewForwardF32(nil).MatMul(a, b); !math.IsNaN(float64(out.W32[0])) {
+		t.Fatal("f32 MatMul skipped 0×Inf; expected IEEE NaN (no skip-zero contract)")
+	}
+}
+
+// TestF32Dispatch: recording tapes and the exact forward tape must keep
+// producing float64 results bitwise equal to the bitwise kernel — the
+// f32 flag must be unreachable from them — and only NewForwardF32
+// computes in float32. Training-only ops must refuse f32 tapes loudly.
 func TestF32Dispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	const R, K, C = 8, 64, 48
@@ -357,10 +394,9 @@ func TestF32Dispatch(t *testing.T) {
 	matmul(exact, a.W, b.W, R, K, C)
 
 	tapes := map[string]*Tape{
-		"NewTape":        NewTape(),
-		"NewTraining":    NewTraining(NewPool()),
-		"NewForward":     NewForward(nil),
-		"NewForwardFast": NewForwardFast(nil),
+		"NewTape":     NewTape(),
+		"NewTraining": NewTraining(NewPool()),
+		"NewForward":  NewForward(nil),
 	}
 	for name, tape := range tapes {
 		if tape.F32() {
@@ -370,14 +406,14 @@ func TestF32Dispatch(t *testing.T) {
 		if len(out.W) != R*C || out.W32 != nil {
 			t.Fatalf("%s MatMul produced f32 storage (len(W)=%d, W32=%v)", name, len(out.W), out.W32 != nil)
 		}
-		if name != "NewForwardFast" && !bitsEqual(out.W, exact) {
+		if !bitsEqual(out.W, exact) {
 			t.Fatalf("%s MatMul diverged from the bitwise kernel", name)
 		}
 	}
 
 	ft := NewForwardF32(NewPool())
-	if !ft.F32() || !ft.FastMath() {
-		t.Fatal("NewForwardF32 must report both F32 and FastMath")
+	if !ft.F32() {
+		t.Fatal("NewForwardF32 does not report F32")
 	}
 	out := ft.MatMul(a, b)
 	if len(out.W) != 0 || len(out.W32) != R*C {
@@ -435,9 +471,9 @@ func TestF32PoolRecycling(t *testing.T) {
 	}
 }
 
-// BenchmarkF32Kernels measures the float32 matmul kernels on the same
-// hot shapes as BenchmarkFastKernels; scripts/bench.sh records both in
-// BENCH_infer.json so the f32-vs-fast-f64 kernel speedup is tracked.
+// BenchmarkF32Kernels measures the float32 matmul kernels on the
+// model's hot shapes; scripts/bench.sh records the results in
+// BENCH_infer.json.
 func BenchmarkF32Kernels(b *testing.B) {
 	shapes := []struct {
 		name    string

@@ -22,22 +22,6 @@ func ntPanelAVX2(s *[16]float64, a0, a1, a2, a3, panel *float64, k int) {
 	panic("ad: ntPanelAVX2 called without AVX2 support")
 }
 
-func band2pFMA(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n int) {
-	panic("ad: band2pFMA called without FMA support")
-}
-
-func axpyFMA(o, b *float64, s float64, n int) {
-	panic("ad: axpyFMA called without FMA support")
-}
-
-func ntPanelFMA(s *[16]float64, a0, a1, a2, a3, panel *float64, k int) {
-	panic("ad: ntPanelFMA called without FMA support")
-}
-
-func dotFMA(a, b *float64, n int) float64 {
-	panic("ad: dotFMA called without FMA support")
-}
-
 func band2pFMA32(o0, o1, o2, o3, bp, bq *float32, av *[8]float32, n int) {
 	panic("ad: band2pFMA32 called without FMA support")
 }

@@ -137,10 +137,6 @@ func (t *Tape) AttnScores(dec, enc *V, T int) *V {
 		return out
 	}
 	out := t.new(B, T)
-	if t.FastMath() {
-		attnScoresFast(out.W, dec.W, enc.W, B, T, H)
-		return out
-	}
 	for b := 0; b < B; b++ {
 		db := dec.W[b*H : (b+1)*H]
 		for tt := 0; tt < T; tt++ {
@@ -239,10 +235,6 @@ func (t *Tape) WeightedSum(alpha, enc *V, H int) *V {
 		return out
 	}
 	out := t.new(B, H)
-	if t.FastMath() {
-		weightedSumFast(out.W, alpha.W, enc.W, B, T, H)
-		return out
-	}
 	for b := 0; b < B; b++ {
 		ob := out.W[b*H : (b+1)*H]
 		for tt := 0; tt < T; tt++ {

@@ -46,30 +46,44 @@ func groupedAttn(tape *Tape, dec, enc *V, mask []float64, groups []int, T, H int
 	return scores, alpha, ctx
 }
 
+// equalVals reports whether two values have the same shape and
+// bitwise-identical storage at both precisions (W and W32).
+func equalVals(a, b *V) bool {
+	if !equalW(a, b) || len(a.W32) != len(b.W32) {
+		return false
+	}
+	for i, x := range a.W32 {
+		if math.Float32bits(x) != math.Float32bits(b.W32[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestGroupedAttnMatchesTiled pins the grouped attention chain bitwise
 // to the tiled GatherRowBlocks formulation on both the exact and the
-// fast-math forward paths — the equivalence the batched decoder's
-// bitwise oracle rests on after the tiling removal.
+// f32 forward paths — the equivalence the batched decoder's bitwise
+// oracle rests on after the tiling removal.
 func TestGroupedAttnMatchesTiled(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() *Tape
 	}{
 		{"exact", func() *Tape { return NewForward(NewPool()) }},
-		{"fast", func() *Tape { return NewForwardFast(NewPool()) }},
+		{"f32", func() *Tape { return NewForwardF32(NewPool()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(91))
 			dec, enc, mask, groups, T, H := groupedFixture(r)
 			ws, wa, wc := tiledAttn(tc.mk(), dec, enc, mask, groups, T, H)
 			gs, ga, gc := groupedAttn(tc.mk(), dec, enc, mask, groups, T, H)
-			if !equalW(gs, ws) {
+			if !equalVals(gs, ws) {
 				t.Errorf("AttnScoresGrouped differs from tiled AttnScores")
 			}
-			if !equalW(ga, wa) {
+			if !equalVals(ga, wa) {
 				t.Errorf("SoftmaxRowsMaskedGrouped differs from tiled SoftmaxRowsMasked")
 			}
-			if !equalW(gc, wc) {
+			if !equalVals(gc, wc) {
 				t.Errorf("WeightedSumGrouped differs from tiled WeightedSum")
 			}
 		})
@@ -162,7 +176,7 @@ func TestGroupedAttnAllocsSteadyState(t *testing.T) {
 		mk   func(*Pool) *Tape
 	}{
 		{"exact", NewForward},
-		{"fast", NewForwardFast},
+		{"f32", NewForwardF32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := NewPool()

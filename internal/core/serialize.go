@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/bpe"
@@ -65,8 +67,15 @@ func LoadTrained(r io.Reader) (*Trained, error) {
 // prediction cache by it. Serialization is deterministic (gob over fixed
 // struct shapes in registration order), so the fingerprint is stable
 // across processes.
+//
+// Save writes float64 weights only, so the float32 weights of an
+// f32-resident model (a quantized load, which has no float64 storage)
+// are hashed after its Save stream. Full-precision models have no such
+// tensor, so their fingerprint is exactly the hash of their Save
+// stream.
 func FingerprintPredictor(p *Predictor) ([32]byte, error) {
 	h := sha256.New()
+	var buf []byte
 	for _, tr := range []*Trained{p.Param, p.Return} {
 		if tr == nil {
 			h.Write([]byte{0})
@@ -75,6 +84,16 @@ func FingerprintPredictor(p *Predictor) ([32]byte, error) {
 		h.Write([]byte{1})
 		if err := tr.Save(h); err != nil {
 			return [32]byte{}, fmt.Errorf("core: fingerprint predictor: %w", err)
+		}
+		for _, v := range tr.Model.Params() {
+			if len(v.W) > 0 {
+				continue
+			}
+			buf = buf[:0]
+			for _, x := range v.W32 {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+			}
+			h.Write(buf)
 		}
 	}
 	var out [32]byte

@@ -2,8 +2,8 @@
 // inference-only model export: float32 truncation and affine int8
 // encodings with a round-trip binary serialization that travels
 // alongside the full-precision gob checkpoint format. Quantization is
-// lossy by design — the engine dequantizes back to float64 at load time
-// and runs the fast-math inference kernels over the reconstructed
+// lossy by design — the engine dequantizes straight into float32 at
+// load time and runs the f32 inference kernels over the reconstructed
 // weights — so the correctness story for anything built on this package
 // is the accuracy-budget harness (internal/accbudget), not bitwise
 // equality with the trained checkpoint.

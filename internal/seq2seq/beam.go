@@ -160,22 +160,12 @@ func (m *Model) Predict(src []string, k int) []Prediction {
 	return out[0]
 }
 
-// PredictBatch predicts every source sequence with one beam cutoff k,
-// decoding up to predictGroup searches together per batched step. For
-// concurrent evaluation over many examples, use EvalParallel.
-func (m *Model) PredictBatch(srcs [][]string, k int) [][]Prediction {
-	ks := make([]int, len(srcs))
-	for i := range ks {
-		ks[i] = k
-	}
-	return m.PredictMulti(srcs, ks)
-}
-
 // PredictMulti predicts every source sequence with its own beam cutoff
 // ks[i], decoding up to predictGroup searches — all their live
 // hypotheses — in one batched decoder step per token. Output slot i is
 // exactly Predict(srcs[i], ks[i]); grouping only changes how many GEMM
-// calls the decoding costs, not any result bit.
+// calls the decoding costs, not any result bit. For concurrent
+// evaluation over many examples, use EvalParallel.
 func (m *Model) PredictMulti(srcs [][]string, ks []int) [][]Prediction {
 	out, err := m.predictMulti(srcs, ks, nil)
 	if err != nil {

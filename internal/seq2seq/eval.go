@@ -67,12 +67,16 @@ func EvalParallel(m *Model, srcs [][]string, k, par int, observe func(i int, sec
 	if len(srcs) == 0 {
 		return out
 	}
+	ks := make([]int, predictGroup)
+	for i := range ks {
+		ks[i] = k
+	}
 	groups := (len(srcs) + predictGroup - 1) / predictGroup
 	fanOut(par, groups, func(g int) {
 		lo := g * predictGroup
 		hi := min(lo+predictGroup, len(srcs))
 		start := time.Now()
-		preds := m.PredictBatch(srcs[lo:hi], k)
+		preds := m.PredictMulti(srcs[lo:hi], ks[:hi-lo])
 		seconds := time.Since(start).Seconds() / float64(hi-lo)
 		for i := lo; i < hi; i++ {
 			out[i] = preds[i-lo]

@@ -9,9 +9,9 @@ import (
 	"repro/internal/ad"
 )
 
-// TestPredictF32Deterministic: the f32 engine is a third numeric
-// contract next to exact and fast-math f64 — different bits, still a
-// function of its inputs. Repeated decodes must agree exactly, the
+// TestPredictF32Deterministic: the f32 engine is a second numeric
+// contract next to exact f64 — different bits, still a function of its
+// inputs. Repeated decodes must agree exactly, the
 // precision switch must be observable, and switching back to f64 must
 // restore the full-precision predictions bit-for-bit.
 func TestPredictF32Deterministic(t *testing.T) {
@@ -29,10 +29,7 @@ func TestPredictF32DeterministicTransformer(t *testing.T) {
 }
 
 func testPredictF32Deterministic(t *testing.T, m *Model, srcs [][]string) {
-	ks := make([]int, len(srcs))
-	for i := range ks {
-		ks[i] = 3
-	}
+	ks := uniformK(len(srcs), 3)
 	full := m.PredictMulti(srcs, ks)
 
 	if got := m.Precision(); got != "f64" {
@@ -86,11 +83,11 @@ func TestSetPrecisionUnknown(t *testing.T) {
 // near-tied beams, not confident ones.
 func TestPredictF32TracksF64(t *testing.T) {
 	m, srcs := predictTestModel(t, 3)
-	f64Preds := m.PredictBatch(srcs, 1)
+	f64Preds := m.PredictMulti(srcs, uniformK(len(srcs), 1))
 	if err := m.SetPrecision("f32"); err != nil {
 		t.Fatal(err)
 	}
-	f32Preds := m.PredictBatch(srcs, 1)
+	f32Preds := m.PredictMulti(srcs, uniformK(len(srcs), 1))
 	agree := 0
 	for i := range srcs {
 		if reflect.DeepEqual(f64Preds[i][0].Tokens, f32Preds[i][0].Tokens) {
@@ -196,27 +193,21 @@ func TestTrainingPrecisionIsolated(t *testing.T) {
 	}
 }
 
-// BenchmarkPredictF32 measures the single-precision engine on the exact
-// workload of BenchmarkPredictFastMath, with the committed f64 tiers
-// rerun beside it so the three-way ratio comes from one machine state.
-// The acceptance bar is f32 ≥ 1.25× over fast-f64 at maxLen=16.
+// BenchmarkPredictF32 measures the single-precision engine against the
+// exact f64 decoder on identical batched beam searches, both rerun in
+// one process so the ratio comes from one machine state.
 func BenchmarkPredictF32(b *testing.B) {
 	for _, mode := range []struct {
 		name      string
-		fast      bool
 		precision string
-	}{{"full", false, "f64"}, {"fast", true, "f64"}, {"f32", false, "f32"}} {
+	}{{"full", "f64"}, {"f32", "f32"}} {
 		for _, maxLen := range []int{8, 16} {
 			b.Run(fmt.Sprintf("%s/maxLen=%d", mode.name, maxLen), func(b *testing.B) {
 				m, srcs := benchGroup(maxLen)
-				m.SetFastMath(mode.fast)
 				if err := m.SetPrecision(mode.precision); err != nil {
 					b.Fatal(err)
 				}
-				ks := make([]int, len(srcs))
-				for i := range ks {
-					ks[i] = 5
-				}
+				ks := uniformK(len(srcs), 5)
 				m.PredictMulti(srcs, ks)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -228,5 +219,33 @@ func BenchmarkPredictF32(b *testing.B) {
 				b.ReportMetric(perSearch, "ns/search")
 			})
 		}
+	}
+}
+
+// BenchmarkPredictTransformer measures batched beam decoding behind the
+// Transformer encoder, full-precision and f32, on the same ragged
+// sources as BenchmarkPredict — the decode half of the
+// BiLSTM-vs-Transformer throughput comparison in EXPERIMENTS.md.
+func BenchmarkPredictTransformer(b *testing.B) {
+	for _, mode := range []struct {
+		name      string
+		precision string
+	}{{"full", "f64"}, {"f32", "f32"}} {
+		b.Run(fmt.Sprintf("%s/maxLen=16", mode.name), func(b *testing.B) {
+			m, srcs := benchGroupEncoder(16, EncoderTransformer)
+			if err := m.SetPrecision(mode.precision); err != nil {
+				b.Fatal(err)
+			}
+			ks := uniformK(len(srcs), 5)
+			m.PredictMulti(srcs, ks)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.PredictMulti(srcs, ks)
+			}
+			b.StopTimer()
+			perSearch := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(srcs))
+			b.ReportMetric(perSearch, "ns/search")
+		})
 	}
 }

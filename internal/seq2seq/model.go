@@ -180,38 +180,21 @@ type Model struct {
 	// pool, so beam-search tensors recycle across calls without sharing.
 	pools sync.Pool
 
-	// fastMath routes the Predict family onto fast-math forward tapes
-	// (ad.NewForwardFast): fused-rounding matmul kernels whose results
-	// are deterministic but not bitwise-equal to the full-precision
-	// path. Set once at load time (quantized exports); never set on
-	// models that train.
-	fastMath bool
-
 	// f32 routes the Predict family onto single-precision forward tapes
 	// (ad.NewForwardF32): float32 values end to end, 8-lane FMA kernels,
-	// half the working set. Takes precedence over fastMath (an f32 tape
-	// is already fast-math). Set once via SetPrecision at load time;
+	// half the working set. Set once via SetPrecision at load time;
 	// training entry points cannot reach the f32 kernels by construction
 	// (recording tapes never dispatch to them).
 	f32 bool
 }
 
-// SetFastMath selects fast-math inference for this model's Predict
-// family. Call once after loading, before any concurrent use; training
-// entry points ignore it by construction (recording tapes cannot reach
-// the fast kernels).
-func (m *Model) SetFastMath(on bool) { m.fastMath = on }
-
-// FastMath reports whether Predict runs on fast-math tapes.
-func (m *Model) FastMath() bool { return m.fastMath }
-
 // SetPrecision selects the arithmetic width of the Predict family:
-// "f64" (the default; exact or fast-math per SetFastMath) or "f32"
+// "f64" (the default; the exact bitwise kernels) or "f32"
 // (single-precision tapes, ad.NewForwardF32). Selecting f32 eagerly
 // materializes every parameter's float32 view (ad.V.SyncF32), so the
 // conversion happens once here rather than racing lazily under
 // concurrent Predict calls. Call once after loading, before any
-// concurrent use; like fast math, training ignores it by construction.
+// concurrent use; training ignores it by construction.
 func (m *Model) SetPrecision(p string) error {
 	switch p {
 	case "", "f64":
@@ -236,13 +219,9 @@ func (m *Model) Precision() string {
 }
 
 // inferTape returns the forward tape the Predict family decodes on.
-// Precision outranks fast math: an f32 tape is already fused-rounding.
 func (m *Model) inferTape(pool *ad.Pool) *ad.Tape {
 	if m.f32 {
 		return ad.NewForwardF32(pool)
-	}
-	if m.fastMath {
-		return ad.NewForwardFast(pool)
 	}
 	return ad.NewForward(pool)
 }

@@ -146,19 +146,29 @@ func TestPredictPooledMatchesReference(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
+// uniformK returns n copies of k: the ks argument of a PredictMulti
+// call that decodes every search at one beam cutoff.
+func uniformK(n, k int) []int {
+	ks := make([]int, n)
+	for i := range ks {
+		ks[i] = k
+	}
+	return ks
+}
+
+func TestPredictMultiMatchesPredict(t *testing.T) {
 	m, srcs := predictTestModel(t, 2)
-	batch := m.PredictBatch(srcs, 5)
+	batch := m.PredictMulti(srcs, uniformK(len(srcs), 5))
 	if len(batch) != len(srcs) {
-		t.Fatalf("PredictBatch returned %d results for %d inputs", len(batch), len(srcs))
+		t.Fatalf("PredictMulti returned %d results for %d inputs", len(batch), len(srcs))
 	}
 	for i, src := range srcs {
 		if want := m.Predict(src, 5); !reflect.DeepEqual(batch[i], want) {
-			t.Fatalf("src %d: PredictBatch diverged from Predict", i)
+			t.Fatalf("src %d: PredictMulti diverged from Predict", i)
 		}
 	}
-	if got := m.PredictBatch(nil, 5); len(got) != 0 {
-		t.Errorf("PredictBatch(nil) = %v", got)
+	if got := m.PredictMulti(nil, nil); len(got) != 0 {
+		t.Errorf("PredictMulti(nil) = %v", got)
 	}
 }
 
@@ -230,7 +240,7 @@ func TestPredictAllocsBounded(t *testing.T) {
 
 // TestPredictBatchedMatchesSequential is the oracle for the batched
 // decoder: across beam widths 1/5/8 and the toy set's ragged source
-// lengths, Predict (all hypotheses in one batched step) and PredictBatch
+// lengths, Predict (all hypotheses in one batched step) and PredictMulti
 // (several searches per step, sharing padded encoder tiles) must
 // reproduce the retained sequential decoder bitwise — tokens and
 // log-probs. reflect.DeepEqual compares float64s with ==, so any
@@ -254,10 +264,10 @@ func TestPredictBatchedMatchesSequential(t *testing.T) {
 				t.Fatalf("k=%d src %d: batched Predict diverged from sequential\ngot  %v\nwant %v", k, i, got, want[i])
 			}
 		}
-		batch := m.PredictBatch(srcs, k)
+		batch := m.PredictMulti(srcs, uniformK(len(srcs), k))
 		for i := range srcs {
 			if !reflect.DeepEqual(batch[i], want[i]) {
-				t.Fatalf("k=%d src %d: PredictBatch diverged from sequential\ngot  %v\nwant %v", k, i, batch[i], want[i])
+				t.Fatalf("k=%d src %d: PredictMulti diverged from sequential\ngot  %v\nwant %v", k, i, batch[i], want[i])
 			}
 		}
 	}
@@ -391,11 +401,12 @@ func BenchmarkPredict(b *testing.B) {
 	for _, maxLen := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("maxLen=%d", maxLen), func(b *testing.B) {
 			m, srcs := benchGroup(maxLen)
-			m.PredictBatch(srcs, 5)
+			ks := uniformK(len(srcs), 5)
+			m.PredictMulti(srcs, ks)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PredictBatch(srcs, 5)
+				m.PredictMulti(srcs, ks)
 			}
 			b.StopTimer()
 			perSearch := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(srcs))
@@ -455,11 +466,12 @@ func BenchmarkPredictBatched(b *testing.B) {
 			for i := range srcs {
 				srcs[i] = benchSrc(r, m.Src, 48+r.Intn(25)) // ragged lengths
 			}
-			m.PredictBatch(srcs, 5)
+			ks := uniformK(group, 5)
+			m.PredictMulti(srcs, ks)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PredictBatch(srcs, 5)
+				m.PredictMulti(srcs, ks)
 			}
 			b.StopTimer()
 			perSearch := float64(b.Elapsed().Nanoseconds()) / float64(b.N*group)

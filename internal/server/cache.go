@@ -28,11 +28,10 @@ type cacheKey struct {
 	elem  string
 	k     int
 	// engine separates the precision tiers' entries even when their
-	// weights fingerprint identically (an f32 in-memory quantization):
-	// "" is the full-precision engine, "fast" the fused-rounding
-	// fast-math engine, "f32" the single-precision engine. Each tier's
-	// kernels may rank types differently, so a request must never be
-	// answered from another tier's entry.
+	// weights fingerprint identically (a quantized primary also served
+	// as its own f32 sibling): "" is the primary engine, "f32" the
+	// single-precision sibling. A request must never be answered from
+	// another tier's entry.
 	engine string
 }
 

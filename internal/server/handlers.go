@@ -27,15 +27,10 @@ type predictEnvelope struct {
 	// K is the number of ranked predictions per element (default
 	// Config.DefaultK, capped at Config.MaxK).
 	K int `json:"k,omitempty"`
-	// Fast routes the request to the model's fast-math engine (quantized
-	// weights, fused-rounding kernels). Rejected with 400 when the model
-	// has no fast sibling.
-	Fast bool `json:"fast,omitempty"`
 	// Precision routes the request to a precision tier: "f32" selects the
 	// model's single-precision engine (float32 tapes and 8-lane kernels),
 	// "" or "f64" the default. Rejected with 400 when the model has no
-	// f32 sibling, or when combined with Fast (they are distinct
-	// engines).
+	// f32 sibling.
 	Precision string `json:"precision,omitempty"`
 	// Model names the registry model to serve the request; empty means
 	// the server's default. A {model} path segment takes precedence.
@@ -57,11 +52,9 @@ type PredictResponse struct {
 	Functions []FunctionResult `json:"functions"`
 	// CacheHits counts elements of this response answered from the cache.
 	CacheHits int `json:"cache_hits"`
-	// Fast reports which engine answered: true when the fast-math model
-	// produced these predictions.
-	Fast bool `json:"fast,omitempty"`
-	// Precision reports "f32" when the single-precision engine produced
-	// these predictions; omitted for the f64 tiers.
+	// Precision reports "f32" when the answering models decode on the
+	// single-precision engine — a precision=f32 request, or a quantized
+	// model served as primary; omitted for exact f64.
 	Precision string `json:"precision,omitempty"`
 	// Model and Version identify the registry model (and hot-swap
 	// ordinal) that served the request.
@@ -86,18 +79,16 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	fastMath, f32 := false, false
+	f32 := false
 	if es, err := s.acquireModel(""); err == nil {
-		fastMath = es.fast != nil
 		f32 = es.f32 != nil
 		es.release()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"fast_math": fastMath,
-		"f32":       f32,
-		"default":   s.DefaultModel(),
-		"models":    len(s.reg.names()),
+		"status":  "ok",
+		"f32":     f32,
+		"default": s.DefaultModel(),
+		"models":  len(s.reg.names()),
 	})
 }
 
@@ -154,9 +145,9 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readRequest extracts (binary, func selector, k, fast flag, precision,
-// model name) from either encoding of the request.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte, funcSel string, k int, fast bool, precision, model string, ok bool) {
+// readRequest extracts (binary, func selector, k, precision, model name)
+// from either encoding of the request.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte, funcSel string, k int, precision, model string, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -165,7 +156,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 		} else {
 			s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		}
-		return nil, "", 0, false, "", "", false
+		return nil, "", 0, "", "", false
 	}
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -176,14 +167,14 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 		var env predictEnvelope
 		if err := json.Unmarshal(body, &env); err != nil {
 			s.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-			return nil, "", 0, false, "", "", false
+			return nil, "", 0, "", "", false
 		}
 		bin, err = base64.StdEncoding.DecodeString(env.WasmBase64)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "invalid wasm_base64: %v", err)
-			return nil, "", 0, false, "", "", false
+			return nil, "", 0, "", "", false
 		}
-		funcSel, k, fast, precision, model = env.Func, env.K, env.Fast, env.Precision, env.Model
+		funcSel, k, precision, model = env.Func, env.K, env.Precision, env.Model
 	default:
 		// Raw binary body (application/wasm, application/octet-stream, or
 		// unlabeled); selection comes from query parameters.
@@ -195,14 +186,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 			k, err = strconv.Atoi(ks)
 			if err != nil {
 				s.writeError(w, http.StatusBadRequest, "invalid k %q", ks)
-				return nil, "", 0, false, "", "", false
-			}
-		}
-		if fs := r.URL.Query().Get("fast"); fs != "" {
-			fast, err = strconv.ParseBool(fs)
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, "invalid fast %q", fs)
-				return nil, "", 0, false, "", "", false
+				return nil, "", 0, "", "", false
 			}
 		}
 	}
@@ -210,11 +194,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 	case "", "f64", "f32":
 	default:
 		s.writeError(w, http.StatusBadRequest, "invalid precision %q (want f64 or f32)", precision)
-		return nil, "", 0, false, "", "", false
-	}
-	if fast && precision == "f32" {
-		s.writeError(w, http.StatusBadRequest, "fast=true and precision=f32 select different engines; pick one")
-		return nil, "", 0, false, "", "", false
+		return nil, "", 0, "", "", false
 	}
 	if k <= 0 {
 		k = s.cfg.DefaultK
@@ -224,9 +204,9 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 	}
 	if len(bin) == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty wasm binary")
-		return nil, "", 0, false, "", "", false
+		return nil, "", 0, "", "", false
 	}
-	return bin, funcSel, k, fast, precision, model, true
+	return bin, funcSel, k, precision, model, true
 }
 
 // resolveFuncs maps the func selector to module-defined function indices.
@@ -303,7 +283,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.met.latency.Observe(time.Since(start).Seconds()) }()
 
-	bin, funcSel, k, fast, precision, model, ok := s.readRequest(w, r)
+	bin, funcSel, k, precision, model, ok := s.readRequest(w, r)
 	if !ok {
 		return
 	}
@@ -326,14 +306,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer es.release()
 	es.pm.requests.Inc()
 	eng, tier := &es.full, ""
-	switch {
-	case fast:
-		if es.fast == nil {
-			s.writeError(w, http.StatusBadRequest, "fast=true but model %q has no fast-math sibling", es.name)
-			return
-		}
-		eng, tier = es.fast, "fast"
-	case precision == "f32":
+	if precision == "f32" {
 		if es.f32 == nil {
 			s.writeError(w, http.StatusBadRequest, "precision=f32 but model %q has no f32 sibling", es.name)
 			return
@@ -356,12 +329,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	resp := PredictResponse{
 		Functions: make([]FunctionResult, 0, len(funcs)),
-		Fast:      fast,
+		Precision: eng.precision,
 		Model:     es.name,
 		Version:   es.version,
-	}
-	if tier == "f32" {
-		resp.Precision = "f32"
 	}
 	var predictErr error
 	err = s.submit(ctx, func() {

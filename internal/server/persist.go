@@ -42,9 +42,10 @@ type cacheRecord struct {
 	Fn   string `json:"fn"`
 	Elem string `json:"elem"`
 	K    int    `json:"k"`
-	// Engine is the precision tier that produced the entry ("" full,
-	// "fast", "f32"). Fast is the pre-f32 encoding of the fast tier,
-	// still accepted on read so old logs replay.
+	// Engine is the precision tier that produced the entry ("" primary,
+	// "f32"). Logs written while the retired fast-f64 tier existed can
+	// also carry "fast", or its older encoding Fast; such records can
+	// never be looked up again, so replay drops them.
 	Engine string `json:"engine,omitempty"`
 	Fast   bool   `json:"fast,omitempty"`
 	// Preds is the cached ranked predictions for the element.
@@ -75,10 +76,10 @@ func (r cacheRecord) key() (cacheKey, error) {
 	if n, err := hex.Decode(k.fn[:], []byte(r.Fn)); err != nil || n != len(k.fn) {
 		return k, fmt.Errorf("bad function hash %q", r.Fn)
 	}
-	k.elem, k.k, k.engine = r.Elem, r.K, r.Engine
-	if k.engine == "" && r.Fast {
-		k.engine = "fast"
+	if r.Fast || (r.Engine != "" && r.Engine != "f32") {
+		return k, errors.New("record from the retired fast-f64 engine tier")
 	}
+	k.elem, k.k, k.engine = r.Elem, r.K, r.Engine
 	return k, nil
 }
 

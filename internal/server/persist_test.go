@@ -10,23 +10,25 @@ import (
 	"testing"
 )
 
-// fillCache populates a cache with n distinct entries plus one
-// get-touch so the LRU order is non-trivial.
+// fillCache populates a cache with n distinct entries, alternating the
+// two engine tiers, plus one get-touch so the LRU order is non-trivial.
 func fillCache(c *lruCache, n int) {
 	for i := 0; i < n; i++ {
 		eng := ""
 		if i%2 == 0 {
-			eng = "fast"
+			eng = "f32"
 		}
 		k := cacheKey{model: [32]byte{0xAA}, fn: [32]byte{byte(i)}, elem: "param0", k: 5, engine: eng}
 		c.put(k, preds(fmt.Sprintf("t%d", i)))
 	}
-	c.get(cacheKey{model: [32]byte{0xAA}, fn: [32]byte{0}, elem: "param0", k: 5, engine: "fast"})
+	c.get(cacheKey{model: [32]byte{0xAA}, fn: [32]byte{0}, elem: "param0", k: 5, engine: "f32"})
 }
 
 // TestCacheSnapshotRoundTripDeterminism: snapshot → load → snapshot must
 // be byte-identical, and the restored cache must match entry for entry in
-// LRU order.
+// LRU order. Records of the retired fast-f64 tier (engine "fast", or
+// its older encoding "fast":true) mixed into the log are dropped on
+// replay like corrupt lines, so the compacted snapshot omits them.
 func TestCacheSnapshotRoundTripDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	p1 := filepath.Join(dir, "snap1.jsonl")
@@ -38,11 +40,22 @@ func TestCacheSnapshotRoundTripDeterminism(t *testing.T) {
 	if err != nil || n != 8 {
 		t.Fatalf("snapshot: n=%d err=%v", n, err)
 	}
+	snap, err := os.ReadFile(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := recordOf(cacheKey{model: [32]byte{0xAA}, fn: [32]byte{0xF0}, elem: "param0", k: 5}, preds("old"))
+	fastLines := `{"model":"` + fast.Model + `","fn":"` + fast.Fn + `","elem":"param0","k":5,"engine":"fast","preds":[{"text":"old","tokens":["old"]}]}` + "\n" +
+		`{"model":"` + fast.Model + `","fn":"` + fast.Fn + `","elem":"return","k":5,"fast":true,"preds":[{"text":"old","tokens":["old"]}]}` + "\n"
+	log := filepath.Join(dir, "log.jsonl")
+	if err := os.WriteFile(log, []byte(fastLines+string(snap)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	c2 := newLRUCache(16)
-	loaded, skipped, err := loadCacheFile(p1, c2)
-	if err != nil || loaded != 8 || skipped != 0 {
-		t.Fatalf("load: loaded=%d skipped=%d err=%v", loaded, skipped, err)
+	loaded, skipped, err := loadCacheFile(log, c2)
+	if err != nil || loaded != 8 || skipped != 2 {
+		t.Fatalf("load: loaded=%d skipped=%d err=%v, want 8 and 2", loaded, skipped, err)
 	}
 	e1, e2 := c.entries(), c2.entries()
 	if len(e1) != len(e2) {

@@ -36,13 +36,6 @@ import (
 type ModelSource struct {
 	// Path is the predictor file (either on-disk format).
 	Path string `json:"path,omitempty"`
-	// FastPath is a quantized predictor file served to fast=true
-	// requests alongside this model.
-	FastPath string `json:"fast_path,omitempty"`
-	// Quantize, when non-empty ("int8" or "f32") and FastPath is unset,
-	// derives the fast-math sibling by quantizing the loaded model in
-	// memory.
-	Quantize string `json:"quantize,omitempty"`
 	// F32Path is a quantized predictor file loaded straight into float32
 	// storage and served to precision=f32 requests alongside this model.
 	F32Path string `json:"f32_path,omitempty"`
@@ -53,15 +46,14 @@ type ModelSource struct {
 	F32Quantize string `json:"f32_quantize,omitempty"`
 }
 
-// engineSet is one loaded version of one named model: the full-precision
-// engine, its optional fast-math and f32 siblings, and the refcount
-// machinery the hot-swap drain rides on.
+// engineSet is one loaded version of one named model: the primary
+// engine, its optional f32 sibling, and the refcount machinery the
+// hot-swap drain rides on.
 type engineSet struct {
 	name    string
 	version uint64
 	src     ModelSource
 	full    engine
-	fast    *engine
 	f32     *engine
 	pm      *modelMetrics
 
@@ -89,7 +81,7 @@ func (es *engineSet) drain() {
 	for es.refs.Load() != 0 {
 		<-es.drained
 	}
-	for _, e := range []*engine{&es.full, es.fast, es.f32} {
+	for _, e := range []*engine{&es.full, es.f32} {
 		if e == nil {
 			continue
 		}
@@ -173,9 +165,9 @@ func (s *Server) acquireModel(name string) (*engineSet, error) {
 	}
 }
 
-// newEngineSet wires one loaded model (and optional fast and f32
-// siblings) with batchers, fingerprints, and the entry's metrics.
-func (s *Server) newEngineSet(name string, pred, fastPred, f32Pred *core.Predictor, src ModelSource, pm *modelMetrics) (*engineSet, error) {
+// newEngineSet wires one loaded model (and an optional f32 sibling) with
+// batchers, fingerprints, and the entry's metrics.
+func (s *Server) newEngineSet(name string, pred, f32Pred *core.Predictor, src ModelSource, pm *modelMetrics) (*engineSet, error) {
 	if pred == nil || (pred.Param == nil && pred.Return == nil) {
 		return nil, fmt.Errorf("server: model %q has no task models", name)
 	}
@@ -183,16 +175,6 @@ func (s *Server) newEngineSet(name string, pred, fastPred, f32Pred *core.Predict
 	var err error
 	if es.full, err = s.newEngine(pred); err != nil {
 		return nil, fmt.Errorf("server: model %q: %w", name, err)
-	}
-	if fastPred != nil {
-		if fastPred.Param == nil && fastPred.Return == nil {
-			return nil, fmt.Errorf("server: model %q: fast-math predictor has no task models", name)
-		}
-		fe, err := s.newEngine(fastPred)
-		if err != nil {
-			return nil, fmt.Errorf("server: model %q fast sibling: %w", name, err)
-		}
-		es.fast = &fe
 	}
 	if f32Pred != nil {
 		if f32Pred.Param == nil && f32Pred.Return == nil {
@@ -213,7 +195,7 @@ func (s *Server) newEngineSet(name string, pred, fastPred, f32Pred *core.Predict
 // version's in-flight decodes drain to completion; only then are its
 // dispatchers stopped and the model released. src records how to reload
 // the name from disk (zero value: not reloadable).
-func (s *Server) RegisterModel(name string, pred, fastPred, f32Pred *core.Predictor, src ModelSource) error {
+func (s *Server) RegisterModel(name string, pred, f32Pred *core.Predictor, src ModelSource) error {
 	if name == "" {
 		return errors.New("server: empty model name")
 	}
@@ -225,7 +207,7 @@ func (s *Server) RegisterModel(name string, pred, fastPred, f32Pred *core.Predic
 	}
 	s.reg.mu.Unlock()
 
-	es, err := s.newEngineSet(name, pred, fastPred, f32Pred, src, e.pm)
+	es, err := s.newEngineSet(name, pred, f32Pred, src, e.pm)
 	if err != nil {
 		return err
 	}
@@ -242,10 +224,9 @@ func (s *Server) RegisterModel(name string, pred, fastPred, f32Pred *core.Predic
 
 // LoadModel loads a model from disk per src and registers (or hot-swaps)
 // it under name. Either on-disk predictor format is accepted; quantized
-// files come back fast-math-enabled but still serve as the name's full
-// engine. The fast=true sibling comes from src.FastPath, or from an
-// in-memory quantization when src.Quantize is set; the precision=f32
-// sibling likewise from src.F32Path or src.F32Quantize.
+// files load onto the f32 engine and serve as the name's primary
+// engine. The precision=f32 sibling comes from src.F32Path, or from an
+// in-memory quantization when src.F32Quantize is set.
 func (s *Server) LoadModel(name string, src ModelSource) error {
 	if src.Path == "" {
 		return fmt.Errorf("server: model %q: no path to load from", name)
@@ -254,25 +235,10 @@ func (s *Server) LoadModel(name string, src ModelSource) error {
 	if err != nil {
 		return fmt.Errorf("server: load model %q: %w", name, err)
 	}
-	var fastPred *core.Predictor
-	switch {
-	case src.FastPath != "":
-		if fastPred, err = core.LoadQuantizedPredictor(src.FastPath); err != nil {
-			return fmt.Errorf("server: load model %q fast sibling: %w", name, err)
-		}
-	case src.Quantize != "":
-		mode, err := quant.ParseMode(src.Quantize)
-		if err != nil {
-			return fmt.Errorf("server: model %q: %w", name, err)
-		}
-		if fastPred, err = core.QuantizePredictor(pred, mode); err != nil {
-			return fmt.Errorf("server: quantize model %q: %w", name, err)
-		}
-	}
 	var f32Pred *core.Predictor
 	switch {
 	case src.F32Path != "":
-		if f32Pred, err = core.LoadQuantizedPredictorPrecision(src.F32Path, "f32"); err != nil {
+		if f32Pred, err = core.LoadQuantizedPredictor(src.F32Path); err != nil {
 			return fmt.Errorf("server: load model %q f32 sibling: %w", name, err)
 		}
 	case src.F32Quantize != "":
@@ -280,11 +246,11 @@ func (s *Server) LoadModel(name string, src ModelSource) error {
 		if err != nil {
 			return fmt.Errorf("server: model %q: %w", name, err)
 		}
-		if f32Pred, err = core.QuantizePredictorPrecision(pred, mode, "f32"); err != nil {
+		if f32Pred, err = core.QuantizePredictor(pred, mode); err != nil {
 			return fmt.Errorf("server: quantize model %q for f32: %w", name, err)
 		}
 	}
-	return s.RegisterModel(name, pred, fastPred, f32Pred, src)
+	return s.RegisterModel(name, pred, f32Pred, src)
 }
 
 // RemoveModel unregisters a name and drains its engines. The default
@@ -335,11 +301,9 @@ type ModelStatus struct {
 	Name    string `json:"name"`
 	Default bool   `json:"default"`
 	Version uint64 `json:"version"`
-	// Fingerprint is the hex content hash of the full-precision engine's
+	// Fingerprint is the hex content hash of the primary engine's
 	// predictor — the namespace its cache entries live under.
 	Fingerprint string `json:"fingerprint"`
-	// FastMath reports whether the model has a fast=true sibling engine.
-	FastMath bool `json:"fast_math"`
 	// F32 reports whether the model has a precision=f32 sibling engine.
 	F32    bool        `json:"f32"`
 	Source ModelSource `json:"source,omitempty"`
@@ -362,7 +326,6 @@ func (s *Server) Models() []ModelStatus {
 			Default:     name == s.reg.defName,
 			Version:     es.version,
 			Fingerprint: fmt.Sprintf("%x", es.full.fp),
-			FastMath:    es.fast != nil,
 			F32:         es.f32 != nil,
 			Source:      es.src,
 		})

@@ -21,7 +21,7 @@ import (
 func TestModelRouting(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pred, bin := testPredictor(t)
-	if err := s.RegisterModel("alt", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("alt", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +70,7 @@ func TestModelRouting(t *testing.T) {
 func TestModelsAdminAPI(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pred, _ := testPredictor(t)
-	if err := s.RegisterModel("extra", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("extra", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +131,7 @@ func TestHotSwapVersionAndIsolation(t *testing.T) {
 	if first.Version != 1 {
 		t.Fatalf("version = %d, want 1", first.Version)
 	}
-	if err := s.RegisterModel("default", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("default", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := postWasm(t, ts.URL, bin, "func=first")
@@ -184,7 +184,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 	for swap := 0; swap < 5; swap++ {
 		time.Sleep(50 * time.Millisecond)
-		if err := s.RegisterModel("default", pred, nil, nil, ModelSource{}); err != nil {
+		if err := s.RegisterModel("default", pred, nil, ModelSource{}); err != nil {
 			t.Errorf("swap %d: %v", swap, err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestReloadFromDisk(t *testing.T) {
 	}
 
 	// In-memory models (no Path) are skipped, not an error.
-	if err := s.RegisterModel("mem", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("mem", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err = s.Reload()
