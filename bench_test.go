@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -249,11 +248,10 @@ double first(double *xs, int n) {
 }
 
 // BenchmarkServerPredictConcurrent measures the serving subsystem under
-// concurrent load with request batching on and the cache off, so every
-// request decodes: the dynamic batcher coalesces overlapping queries
-// into shared beam decodes. The reported batch-mean metric is the mean
-// coalesced batch size read back from /metrics — above 1 means
-// concurrent requests actually shared decoder GEMMs.
+// concurrent load with the cache off, so every request decodes. Each
+// request decodes its misses in one batched call per task model; the
+// reported batch-mean metric is the mean number of queries per decode
+// call, read back from /metrics.
 func BenchmarkServerPredictConcurrent(b *testing.B) {
 	_, param := benchTask(b, core.Task{Variant: typelang.VariantLSW})
 	_, ret := benchTask(b, core.Task{Variant: typelang.VariantLSW, Return: true})
@@ -273,50 +271,33 @@ double first(double *xs, int n) {
 		b.Fatal(err)
 	}
 
-	for _, cfg := range []struct {
-		name  string
-		batch int
-		wait  time.Duration
-	}{
-		{"batch=1", 1, 0}, // coalescing off: each query decodes alone
-		{"batch=8,wait=2ms", 8, 2 * time.Millisecond},
-		{"batch=8,wait=10ms", 8, 10 * time.Millisecond},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			s, err := server.New(pred, server.Config{
-				Workers:   16,
-				CacheSize: -1,
-				BatchSize: cfg.batch,
-				BatchWait: cfg.wait,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+	s, err := server.New(pred, server.Config{Workers: 16, CacheSize: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-			b.SetParallelism(4)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					resp, err := http.Post(ts.URL+"/v1/predict", "application/wasm", bytes.NewReader(bin))
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						b.Errorf("status %d", resp.StatusCode)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if sum, count := scrapeMetric(b, ts.URL, "snowwhite_batch_size_sum"), scrapeMetric(b, ts.URL, "snowwhite_batch_size_count"); count > 0 {
-				b.ReportMetric(sum/count, "batch-mean")
+	b.SetParallelism(4)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			resp, err := http.Post(ts.URL+"/v1/predict", "application/wasm", bytes.NewReader(bin))
+			if err != nil {
+				b.Error(err)
+				return
 			}
-		})
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b.Errorf("status %d", resp.StatusCode)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if sum, count := scrapeMetric(b, ts.URL, "snowwhite_batch_size_sum"), scrapeMetric(b, ts.URL, "snowwhite_batch_size_count"); count > 0 {
+		b.ReportMetric(sum/count, "batch-mean")
 	}
 }
 

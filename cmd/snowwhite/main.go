@@ -23,7 +23,7 @@
 //
 //	snowwhite predict {-model model.bin | -packages N} -file prog.c
 //	snowwhite ingest  {-model model.bin | -packages N} {-file bin.wasm | -dir DIR} [-eval] [-k N] [-j N] [-precision f64|f32] [-out report.json]
-//	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-batch N] [-batch-wait D] [-f32] [-f32-model model.qbin] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
+//	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-f32] [-f32-model model.qbin] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
 //	snowwhite bench-serve -addr host:port -file bin.wasm [-qps N] [-duration D] [-sweep "10,50,100"] [-out BENCH_predict.json]
 //	snowwhite export  -model model.bin -out model.qbin [-quantize int8|f32]
 //	snowwhite acctest {-model model.bin | -packages N} -dir DIR [-quantize int8|f32] [-f32-model model.qbin] [-k N] [-budget 0.99]
@@ -40,10 +40,9 @@
 // directory through a bounded worker pool; output is byte-identical at
 // any -j.
 //
-// `snowwhite serve` coalesces concurrent prediction queries into batched
-// beam decodes: up to -batch queries (default 8) share one decoder GEMM
-// per step, and a non-full batch waits at most -batch-wait (default 2ms)
-// for stragglers; a lone request never waits. -batch 1 disables batching.
+// `snowwhite serve` decodes each request's cache misses together: all
+// of its parameter queries in one batched beam decode and all of its
+// return queries in another, sharing one decoder GEMM per step.
 // With -f32 (or -f32-model) the server additionally loads a
 // single-precision engine — float32 weights, f32 tapes, and 8-lane
 // kernels — that answers requests opting in with precision=f32; the
@@ -560,8 +559,6 @@ func runServe(args []string) error {
 	maxBody := fs.Int64("max-body", 8<<20, "maximum upload size in bytes")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request prediction timeout")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-	batch := fs.Int("batch", 8, "max queries coalesced per batched beam decode (<=1 disables)")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max time a non-full batch waits for stragglers")
 	f32 := fs.Bool("f32", false, "also serve a single-precision engine for requests with precision=f32")
 	f32Model := fs.String("f32-model", "", "quantized model file for the f32 engine (default: in-memory f32 quantization of the primary model; implies -f32)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address (e.g. localhost:6060; empty disables)")
@@ -611,8 +608,6 @@ func runServe(args []string) error {
 		CachePath:      *cacheFile,
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *timeout,
-		BatchSize:      *batch,
-		BatchWait:      *batchWait,
 		DefaultModel:   *modelName,
 		F32Pred:        f32Pred,
 	}, defSrc)

@@ -81,7 +81,7 @@ func TestPredictTypedMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestInputAccessors checks the extraction accessors the batcher uses:
+// TestInputAccessors checks the extraction accessors the server uses:
 // they produce the exact sequences PredictParam/PredictReturn feed the
 // models, and reject the same invalid indices.
 func TestInputAccessors(t *testing.T) {

@@ -24,8 +24,8 @@ type TypePrediction struct {
 // ParamInput extracts the model input sequence for one parameter of a
 // module-defined function — the data-flow slice plus low-level type that
 // PredictParam feeds the parameter model. Callers that batch queries
-// (the serving layer's dynamic batcher) extract inputs first, coalesce
-// them, and decode through Trained.PredictTyped.
+// (the serving layer, per request) extract every input first, then
+// decode them together through Trained.PredictTypedCtx.
 func (p *Predictor) ParamInput(m *wasm.Module, funcIdx, paramIdx int) ([]string, error) {
 	if funcIdx < 0 || funcIdx >= len(m.Funcs) {
 		return nil, fmt.Errorf("core: function index %d out of range", funcIdx)

@@ -114,17 +114,13 @@ func (tr *Trained) Predict(src []string, k int) [][]string {
 // group per step). Slot i holds exactly the wrapped form of what
 // Predict(srcs[i], ks[i]) would return — same subword encoding,
 // empty-beam filtering, and fallback — so callers batch purely for
-// throughput. The serving layer's dynamic batcher coalesces concurrent
-// requests into this entry point.
+// throughput. The serving layer decodes each request's cache misses
+// through PredictTypedCtx, one call per task model.
 func (tr *Trained) PredictTyped(srcs [][]string, ks []int) [][]TypePrediction {
-	enc := make([][]string, len(srcs))
-	for i, src := range srcs {
-		enc[i] = tr.encodeSrc(src)
-	}
-	multi := tr.Model.PredictMulti(enc, ks)
-	out := make([][]TypePrediction, len(srcs))
-	for i, preds := range multi {
-		out[i] = wrapScored(preds)
+	out, err := tr.PredictTypedCtx(context.Background(), srcs, ks)
+	if err != nil {
+		// Unreachable: a background context is never canceled.
+		panic(err)
 	}
 	return out
 }

@@ -175,7 +175,7 @@ func TestF32CacheIsolation(t *testing.T) {
 	}
 }
 
-// TestF32Deterministic: repeated f32 requests through the batcher return
+// TestF32Deterministic: repeated uncached f32 requests return
 // byte-identical predictions.
 func TestF32Deterministic(t *testing.T) {
 	_, ts := newF32TestServer(t, Config{CacheSize: -1})
@@ -250,18 +250,15 @@ func TestQuantizedPrimaryReportsF32(t *testing.T) {
 
 // TestMixedEngineStressShutdown is the -race stress test of a model's
 // two engines: many concurrent requests alternating between the full
-// and f32 engines, pushed through the dynamic batcher (small batches,
-// both encodings), with the server shut down while the last wave is
-// still in flight. Every completed response must come from the engine
-// it asked for, and identical queries to one engine must agree
-// (batching and f32 decoding stay deterministic under load).
+// and f32 engines (both encodings), with the server shut down while the
+// last wave is still in flight. Every completed response must come from
+// the engine it asked for, and identical queries to one engine must
+// agree (batched and f32 decoding stay deterministic under load).
 func TestMixedEngineStressShutdown(t *testing.T) {
 	pred, bin := testPredictor(t)
 	cfg := Config{
 		Workers:        4,
 		QueueDepth:     256,
-		BatchSize:      4,
-		BatchWait:      time.Millisecond,
 		RequestTimeout: 2 * time.Minute,
 		F32Pred:        testF32Predictor(t),
 	}
@@ -323,9 +320,9 @@ func TestMixedEngineStressShutdown(t *testing.T) {
 	}
 
 	// Shut down mid-flight: wait until at least half the wave is done (so
-	// the batcher has seen real mixed load and some requests are still in
+	// the engines have seen real mixed load and some requests are still in
 	// the air), then stop the HTTP front first (it drains handlers), then
-	// the pool and batchers — the server's documented order.
+	// the pool — the server's documented order.
 	for finished.Load() < n/2 {
 		time.Sleep(time.Millisecond)
 	}

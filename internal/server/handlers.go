@@ -145,9 +145,21 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readRequest extracts (binary, func selector, k, precision, model name)
-// from either encoding of the request.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte, funcSel string, k int, precision, model string, ok bool) {
+// predictRequest is one decoded predict request, from either encoding.
+type predictRequest struct {
+	bin []byte
+	// funcSel selects one function by name or index; empty selects all.
+	funcSel   string
+	k         int
+	precision string
+	model     string
+}
+
+// readRequest decodes a predict request from either encoding, clamping k
+// to the configured range. On failure it has already written the error
+// response.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (predictRequest, bool) {
+	var req predictRequest
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -156,7 +168,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 		} else {
 			s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		}
-		return nil, "", 0, "", "", false
+		return req, false
 	}
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -167,46 +179,47 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 		var env predictEnvelope
 		if err := json.Unmarshal(body, &env); err != nil {
 			s.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-			return nil, "", 0, "", "", false
+			return req, false
 		}
-		bin, err = base64.StdEncoding.DecodeString(env.WasmBase64)
+		req.bin, err = base64.StdEncoding.DecodeString(env.WasmBase64)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "invalid wasm_base64: %v", err)
-			return nil, "", 0, "", "", false
+			return req, false
 		}
-		funcSel, k, precision, model = env.Func, env.K, env.Precision, env.Model
+		req.funcSel, req.k, req.precision, req.model = env.Func, env.K, env.Precision, env.Model
 	default:
 		// Raw binary body (application/wasm, application/octet-stream, or
 		// unlabeled); selection comes from query parameters.
-		bin = body
-		funcSel = r.URL.Query().Get("func")
-		model = r.URL.Query().Get("model")
-		precision = r.URL.Query().Get("precision")
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			k, err = strconv.Atoi(ks)
+		q := r.URL.Query()
+		req.bin = body
+		req.funcSel = q.Get("func")
+		req.model = q.Get("model")
+		req.precision = q.Get("precision")
+		if ks := q.Get("k"); ks != "" {
+			req.k, err = strconv.Atoi(ks)
 			if err != nil {
 				s.writeError(w, http.StatusBadRequest, "invalid k %q", ks)
-				return nil, "", 0, "", "", false
+				return req, false
 			}
 		}
 	}
-	switch precision {
+	switch req.precision {
 	case "", "f64", "f32":
 	default:
-		s.writeError(w, http.StatusBadRequest, "invalid precision %q (want f64 or f32)", precision)
-		return nil, "", 0, "", "", false
+		s.writeError(w, http.StatusBadRequest, "invalid precision %q (want f64 or f32)", req.precision)
+		return req, false
 	}
-	if k <= 0 {
-		k = s.cfg.DefaultK
+	if req.k <= 0 {
+		req.k = s.cfg.DefaultK
 	}
-	if k > s.cfg.MaxK {
-		k = s.cfg.MaxK
+	if req.k > s.cfg.MaxK {
+		req.k = s.cfg.MaxK
 	}
-	if len(bin) == 0 {
+	if len(req.bin) == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty wasm binary")
-		return nil, "", 0, "", "", false
+		return req, false
 	}
-	return bin, funcSel, k, precision, model, true
+	return req, true
 }
 
 // resolveFuncs maps the func selector to module-defined function indices.
@@ -283,16 +296,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.met.latency.Observe(time.Since(start).Seconds()) }()
 
-	bin, funcSel, k, precision, model, ok := s.readRequest(w, r)
+	req, ok := s.readRequest(w, r)
 	if !ok {
 		return
 	}
 	// The {model} path segment wins over the envelope/query field; both
 	// empty routes to the default model.
 	if pm := r.PathValue("model"); pm != "" {
-		model = pm
+		req.model = pm
 	}
-	es, err := s.acquireModel(model)
+	es, err := s.acquireModel(req.model)
 	if err != nil {
 		if errors.Is(err, errModelNotFound) {
 			s.writeError(w, http.StatusNotFound, "%v", err)
@@ -306,19 +319,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer es.release()
 	es.pm.requests.Inc()
 	eng, tier := &es.full, ""
-	if precision == "f32" {
+	if req.precision == "f32" {
 		if es.f32 == nil {
 			s.writeError(w, http.StatusBadRequest, "precision=f32 but model %q has no f32 sibling", es.name)
 			return
 		}
 		eng, tier = es.f32, "f32"
 	}
-	m, err := core.DecodeStripped(bin)
+	m, err := core.DecodeStripped(req.bin)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid wasm binary: %v", err)
 		return
 	}
-	funcs, err := resolveFuncs(m, funcSel)
+	funcs, err := resolveFuncs(m, req.funcSel)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -328,33 +341,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	resp := PredictResponse{
-		Functions: make([]FunctionResult, 0, len(funcs)),
 		Precision: eng.precision,
 		Model:     es.name,
 		Version:   es.version,
 	}
 	var predictErr error
 	err = s.submit(ctx, func() {
-		for _, fi := range funcs {
-			// Between functions is the cheapest cancellation point a
-			// multi-function request has: without it an expired request
-			// would keep decoding every remaining function.
-			if err := ctx.Err(); err != nil {
-				predictErr = err
-				return
-			}
-			elems, hits, err := s.predictFunc(ctx, es.pm, eng, tier, m, fi, k)
-			resp.CacheHits += hits
-			if err != nil {
-				predictErr = err
-				return
-			}
-			resp.Functions = append(resp.Functions, FunctionResult{
-				Index:    fi,
-				Name:     funcName(m, fi),
-				Elements: elems,
-			})
-		}
+		resp.Functions, resp.CacheHits, predictErr = s.predictFuncs(ctx, es.pm, eng, tier, m, funcs, req.k)
 	})
 	switch {
 	case errors.Is(err, errQueueFull):
@@ -365,7 +358,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.met.timeouts.Inc()
 		s.writeError(w, http.StatusGatewayTimeout, "prediction timed out after %s", s.cfg.RequestTimeout)
 		return
-	case err != nil:
+	case err != nil: // a panicked job
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

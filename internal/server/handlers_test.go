@@ -63,9 +63,9 @@ func TestResolveFuncsNamePriority(t *testing.T) {
 	}
 }
 
-// TestPredictTypedCtxCancellation covers the ctx-threading fix: a decode
-// on the unbatched path must notice cancellation between decoder steps
-// instead of running to completion.
+// TestPredictTypedCtxCancellation covers the ctx-threading fix: the
+// server's decode must notice cancellation between decoder steps instead
+// of running to completion.
 func TestPredictTypedCtxCancellation(t *testing.T) {
 	pred, bin := testPredictor(t)
 	m, err := core.DecodeStripped(bin)

@@ -15,13 +15,13 @@ import (
 // loaded engines; every name can be hot-swapped to a new model version
 // with zero downtime: requests route through an atomic pointer, so new
 // arrivals see the new engine immediately, while the swap drains the old
-// engine's in-flight decodes (refcount protocol below) before closing
-// its dispatchers and releasing the model.
+// engine's in-flight decodes (refcount protocol below) before releasing
+// the model.
 //
 // Drain protocol: each engineSet carries an acquisition refcount.
 // Request handlers acquire (refs++, then re-check retirement) before
-// touching the engine and release when the whole request is done — the
-// engine's batchers only ever carry queries from ref holders. A swap
+// touching the engine and release when the whole request is done, so
+// every decode on an engine runs under a ref. A swap
 // stores the new engineSet in the entry's atomic pointer, marks the old
 // one retired, and waits for its refcount to hit zero; an acquirer that
 // loses the race (refs++ after retirement) backs out and retries on the
@@ -74,23 +74,12 @@ func (es *engineSet) release() {
 }
 
 // drain retires the set and blocks until every acquisition has been
-// released, then stops its dispatchers. On return no request references
-// the engines and no query of theirs is in flight.
+// released. On return no request references the engines and no query of
+// theirs is in flight.
 func (es *engineSet) drain() {
 	es.retired.Store(true)
 	for es.refs.Load() != 0 {
 		<-es.drained
-	}
-	for _, e := range []*engine{&es.full, es.f32} {
-		if e == nil {
-			continue
-		}
-		if e.paramBatch != nil {
-			e.paramBatch.close()
-		}
-		if e.returnBatch != nil {
-			e.returnBatch.close()
-		}
 	}
 }
 
@@ -166,21 +155,21 @@ func (s *Server) acquireModel(name string) (*engineSet, error) {
 }
 
 // newEngineSet wires one loaded model (and an optional f32 sibling) with
-// batchers, fingerprints, and the entry's metrics.
+// fingerprints and the entry's metrics.
 func (s *Server) newEngineSet(name string, pred, f32Pred *core.Predictor, src ModelSource, pm *modelMetrics) (*engineSet, error) {
 	if pred == nil || (pred.Param == nil && pred.Return == nil) {
 		return nil, fmt.Errorf("server: model %q has no task models", name)
 	}
 	es := &engineSet{name: name, src: src, pm: pm, drained: make(chan struct{}, 1)}
 	var err error
-	if es.full, err = s.newEngine(pred); err != nil {
+	if es.full, err = newEngine(pred); err != nil {
 		return nil, fmt.Errorf("server: model %q: %w", name, err)
 	}
 	if f32Pred != nil {
 		if f32Pred.Param == nil && f32Pred.Return == nil {
 			return nil, fmt.Errorf("server: model %q: f32 predictor has no task models", name)
 		}
-		fe, err := s.newEngine(f32Pred)
+		fe, err := newEngine(f32Pred)
 		if err != nil {
 			return nil, fmt.Errorf("server: model %q f32 sibling: %w", name, err)
 		}
@@ -192,8 +181,8 @@ func (s *Server) newEngineSet(name string, pred, f32Pred *core.Predictor, src Mo
 // RegisterModel installs (or, if the name exists, hot-swaps) a loaded
 // model under a name. The swap is zero-downtime: requests arriving after
 // the atomic pointer store decode on the new engines while the old
-// version's in-flight decodes drain to completion; only then are its
-// dispatchers stopped and the model released. src records how to reload
+// version's in-flight decodes drain to completion; only then is the
+// model released. src records how to reload
 // the name from disk (zero value: not reloadable).
 func (s *Server) RegisterModel(name string, pred, f32Pred *core.Predictor, src ModelSource) error {
 	if name == "" {

@@ -63,15 +63,6 @@ type Config struct {
 	// DefaultK is the beam width when the client does not pass k
 	// (default 5).
 	DefaultK int
-	// BatchSize caps how many concurrent per-element queries the dynamic
-	// batcher coalesces into one batched beam decode (default 8). A value
-	// of 1 or below disables batching; queries then decode individually
-	// on the worker pool.
-	BatchSize int
-	// BatchWait bounds how long the batcher holds a non-full batch open
-	// for stragglers once at least one query is in hand (default 2ms). A
-	// lone in-flight query never waits: it dispatches immediately.
-	BatchWait time.Duration
 	// DefaultModel is the registry name given to the predictor passed to
 	// New, and the model /v1/predict routes to (default "default").
 	DefaultModel string
@@ -79,9 +70,8 @@ type Config struct {
 	// inference engine (core.LoadQuantizedPredictor, or a full model
 	// after Model.SetPrecision("f32")), serving requests that opt in with
 	// precision=f32. It becomes the default model's f32 sibling, with its
-	// own dynamic batchers and cache entries (the two engines'
-	// predictions may differ). Nil means f32 requests to the default
-	// model are rejected.
+	// own cache entries (the two engines' predictions may differ). Nil
+	// means f32 requests to the default model are rejected.
 	F32Pred *core.Predictor
 }
 
@@ -109,12 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultK <= 0 {
 		c.DefaultK = 5
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 8
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.DefaultModel == "" {
 		c.DefaultModel = "default"
@@ -154,7 +138,7 @@ type serverMetrics struct {
 	latency       *metrics.Histogram
 	inference     *metrics.Histogram
 	batchSize     *metrics.Histogram
-	batchWait     *metrics.Histogram
+	panics        *metrics.Counter
 
 	mu       sync.Mutex
 	perModel map[string]*modelMetrics
@@ -178,8 +162,8 @@ func newServerMetrics() *serverMetrics {
 		cacheLoaded:   r.NewGauge("snowwhite_cache_loaded_entries", "Cache entries replayed from the persistence log at startup."),
 		latency:       r.NewHistogram("snowwhite_request_seconds", "Predict request latency in seconds.", nil),
 		inference:     r.NewHistogram("snowwhite_inference_seconds", "Per-element beam-search latency in seconds (cache misses only).", nil),
-		batchSize:     r.NewHistogram("snowwhite_batch_size", "Queries coalesced per batched beam decode.", []float64{1, 2, 4, 8, 16, 32}),
-		batchWait:     r.NewHistogram("snowwhite_batch_queue_seconds", "Time a query waited on the batching queue before its decode started.", nil),
+		batchSize:     r.NewHistogram("snowwhite_batch_size", "Queries per batched beam decode (one decode per task model per request).", []float64{1, 2, 4, 8, 16, 32}),
+		panics:        r.NewCounter("snowwhite_request_panics_total", "Predict requests whose worker job panicked (answered with 500)."),
 		perModel:      map[string]*modelMetrics{},
 	}
 }
@@ -207,10 +191,9 @@ func (sm *serverMetrics) forModel(name string) *modelMetrics {
 	return pm
 }
 
-// engine is one predictor with its dynamic batchers and content
-// fingerprint — the unit the cache namespaces entries by. Each registered
-// model runs its primary engine always, plus an optional f32 engine for
-// requests that opt in.
+// engine is one predictor with its content fingerprint — the unit the
+// cache namespaces entries by. Each registered model runs its primary
+// engine always, plus an optional f32 engine for requests that opt in.
 type engine struct {
 	pred *core.Predictor
 	// fp is the content hash of the predictor (core.FingerprintPredictor):
@@ -222,10 +205,6 @@ type engine struct {
 	// exact f64: what responses report, whichever request tier routed
 	// to the engine.
 	precision string
-	// paramBatch/returnBatch coalesce concurrent queries per model; nil
-	// when batching is disabled or the model is absent.
-	paramBatch  *batcher
-	returnBatch *batcher
 }
 
 // Server serves type predictions from a registry of loaded predictors.
@@ -247,22 +226,13 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// newEngine wires one predictor with its fingerprint and batchers.
-func (s *Server) newEngine(pred *core.Predictor) (engine, error) {
+// newEngine wires one predictor with its fingerprint.
+func newEngine(pred *core.Predictor) (engine, error) {
 	fp, err := core.FingerprintPredictor(pred)
 	if err != nil {
 		return engine{}, fmt.Errorf("fingerprint: %w", err)
 	}
-	e := engine{pred: pred, fp: fp, precision: enginePrecision(pred)}
-	if s.cfg.BatchSize > 1 {
-		if pred.Param != nil {
-			e.paramBatch = newBatcher(pred.Param, s.cfg.BatchSize, s.cfg.BatchWait, s.cfg.QueueDepth, s.met.batchSize, s.met.batchWait)
-		}
-		if pred.Return != nil {
-			e.returnBatch = newBatcher(pred.Return, s.cfg.BatchSize, s.cfg.BatchWait, s.cfg.QueueDepth, s.met.batchSize, s.met.batchWait)
-		}
-	}
-	return e, nil
+	return engine{pred: pred, fp: fp, precision: enginePrecision(pred)}, nil
 }
 
 // enginePrecision reports "f32" when every task model of pred decodes
@@ -343,10 +313,18 @@ var errQueueFull = errors.New("server: worker queue full")
 // submit enqueues fn on the worker pool and waits for it to finish or for
 // ctx to expire. A job whose context has already expired when a worker
 // picks it up is skipped, so abandoned requests never burn inference time.
+// A panic in fn is recovered and counted: it fails only this request, and
+// the worker goes on to the next job.
 func (s *Server) submit(ctx context.Context, fn func()) error {
 	done := make(chan struct{})
+	var panicked any
 	job := func() {
 		defer close(done)
+		defer func() {
+			if panicked = recover(); panicked != nil {
+				s.met.panics.Inc()
+			}
+		}()
 		if ctx.Err() != nil {
 			return
 		}
@@ -359,6 +337,9 @@ func (s *Server) submit(ctx context.Context, fn func()) error {
 	}
 	select {
 	case <-done:
+		if panicked != nil {
+			return fmt.Errorf("server: prediction panicked: %v", panicked)
+		}
 		if err := ctx.Err(); err != nil {
 			// The worker skipped the job because we timed out first.
 			return err
@@ -381,116 +362,150 @@ func (s *Server) cachePut(key cacheKey, preds []core.TypePrediction) {
 
 // elemQuery is one cache-missed signature element awaiting a decode.
 type elemQuery struct {
-	key  cacheKey
-	name string // "param0".."paramN" or "return"
-	src  []string
-	k    int
+	key   cacheKey
+	src   []string
+	preds []core.TypePrediction // set by decode
 }
 
-// runQueries decodes a function's cache-missed queries against one
-// model. With batching enabled the queries join the model's dynamic
-// batcher, coalescing with concurrent requests into one batched beam
-// decode; otherwise they decode directly (still batched with each other,
-// and checking ctx between decoder steps so an expired request stops
-// burning inference time mid-decode). Results land in out and the cache.
-func (s *Server) runQueries(ctx context.Context, tr *core.Trained, b *batcher, qs []elemQuery, out map[string][]core.TypePrediction, pm *modelMetrics) error {
+// elemRef is one signature element of a response.
+type elemRef struct {
+	fn    int    // slot in the response's Functions
+	name  string // "param0".."paramN" or "return"
+	param int    // parameter index; -1 for the return value
+	key   cacheKey
+	preds []core.TypePrediction // a cache hit's predictions
+	q     *elemQuery            // otherwise, the decode that answers it
+}
+
+// predictFuncs predicts every signature element of the given
+// module-defined functions on one engine, mirroring core.PredictModule
+// but in three request-wide phases: consult the cache and extract the
+// input of every missed element; decode all parameter misses in one
+// batched call and all return misses in another; then fill in the
+// response and the cache. A key that repeats within the request decodes
+// once, and while caching is on the repeat counts as a cache hit, as it
+// would had an earlier decode already filled the cache. Cache keys carry
+// the engine's content fingerprint plus the engine tier ("" primary,
+// "f32"), so models, versions, and precision modes never answer from
+// each other's entries. It also returns how many elements the cache
+// answered.
+func (s *Server) predictFuncs(ctx context.Context, pm *modelMetrics, e *engine, tier string, m *wasm.Module, funcs []int, k int) ([]FunctionResult, int, error) {
+	out := make([]FunctionResult, len(funcs))
+	var refs []elemRef
+	for i, funcIdx := range funcs {
+		sig, err := m.FuncTypeAt(uint32(funcIdx + m.NumImportedFuncs()))
+		if err != nil {
+			return nil, 0, err
+		}
+		out[i] = FunctionResult{
+			Index:    funcIdx,
+			Name:     funcName(m, funcIdx),
+			Elements: make(map[string][]core.TypePrediction, len(sig.Params)+1),
+		}
+		fnHash := funcHash(m, funcIdx)
+		if e.pred.Param != nil {
+			for pi := range sig.Params {
+				name := fmt.Sprintf("param%d", pi)
+				refs = append(refs, elemRef{fn: i, name: name, param: pi,
+					key: cacheKey{model: e.fp, fn: fnHash, elem: name, k: k, engine: tier}})
+			}
+		}
+		if len(sig.Results) > 0 && e.pred.Return != nil {
+			refs = append(refs, elemRef{fn: i, name: "return", param: -1,
+				key: cacheKey{model: e.fp, fn: fnHash, elem: "return", k: k, engine: tier}})
+		}
+	}
+
+	// pending holds this request's misses by key while caching is on.
+	var pending map[cacheKey]*elemQuery
+	if s.cache != nil {
+		pending = map[cacheKey]*elemQuery{}
+	}
+	var misses, paramQs, returnQs []*elemQuery
+	hits := 0
+	for i := range refs {
+		r := &refs[i]
+		if preds, ok := s.cache.get(r.key); ok {
+			r.preds = preds
+		} else if r.q = pending[r.key]; r.q == nil {
+			s.met.cacheMisses.Inc()
+			pm.cacheMisses.Inc()
+			var src []string
+			var err error
+			if r.param >= 0 {
+				src, err = e.pred.ParamInput(m, out[r.fn].Index, r.param)
+			} else {
+				src, err = e.pred.ReturnInput(m, out[r.fn].Index)
+			}
+			if err != nil {
+				return nil, hits, err
+			}
+			r.q = &elemQuery{key: r.key, src: src}
+			if pending != nil {
+				pending[r.key] = r.q
+			}
+			misses = append(misses, r.q)
+			if r.param >= 0 {
+				paramQs = append(paramQs, r.q)
+			} else {
+				returnQs = append(returnQs, r.q)
+			}
+			continue
+		}
+		s.met.cacheHits.Inc()
+		pm.cacheHits.Inc()
+		hits++
+	}
+
+	if err := s.decode(ctx, pm, e.pred.Param, paramQs, k); err != nil {
+		return nil, hits, err
+	}
+	if err := s.decode(ctx, pm, e.pred.Return, returnQs, k); err != nil {
+		return nil, hits, err
+	}
+	for _, q := range misses {
+		s.cachePut(q.key, q.preds)
+	}
+	if len(misses) > 0 {
+		s.met.cacheSize.Set(int64(s.cache.len()))
+	}
+	for _, r := range refs {
+		if r.q != nil {
+			r.preds = r.q.preds
+		}
+		out[r.fn].Elements[r.name] = r.preds
+	}
+	return out, hits, nil
+}
+
+// decode runs one task model's cache-missed queries of a request as a
+// single batched beam decode, checking ctx at every decoder step so an
+// expired request stops burning inference time mid-decode.
+func (s *Server) decode(ctx context.Context, pm *modelMetrics, tr *core.Trained, qs []*elemQuery, k int) error {
 	if len(qs) == 0 {
 		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	srcs := make([][]string, len(qs))
 	ks := make([]int, len(qs))
 	for i, q := range qs {
 		srcs[i] = q.src
-		ks[i] = q.k
+		ks[i] = k
 	}
 	start := time.Now()
-	var preds [][]core.TypePrediction
-	var err error
-	if b != nil {
-		preds, err = b.predictMany(ctx, srcs, ks)
-	} else {
-		preds, err = tr.PredictTypedCtx(ctx, srcs, ks)
-	}
+	preds, err := tr.PredictTypedCtx(ctx, srcs, ks)
 	if err != nil {
 		return err
 	}
+	s.met.batchSize.Observe(float64(len(qs)))
 	perElem := time.Since(start).Seconds() / float64(len(qs))
 	for i, q := range qs {
 		s.met.inference.Observe(perElem)
 		s.met.predictions.Inc()
 		pm.inference.Observe(perElem)
 		pm.predictions.Inc()
-		s.cachePut(q.key, preds[i])
-		out[q.name] = preds[i]
+		q.preds = preds[i]
 	}
-	s.met.cacheSize.Set(int64(s.cache.len()))
 	return nil
-}
-
-// predictFunc predicts every signature element of one module-defined
-// function on the given engine, mirroring core.PredictModule but in two
-// phases: consult the cache and extract inputs for every element first,
-// then decode all misses together (through the engine's dynamic batcher
-// when enabled, where they coalesce with other requests' queries into
-// one batched beam decode). Cache keys carry the engine's content
-// fingerprint plus the engine tier ("" primary, "f32"), so models,
-// versions, and precision modes never answer from each other's entries.
-func (s *Server) predictFunc(ctx context.Context, pm *modelMetrics, e *engine, tier string, m *wasm.Module, funcIdx, k int) (map[string][]core.TypePrediction, int, error) {
-	sig, err := m.FuncTypeAt(uint32(funcIdx + m.NumImportedFuncs()))
-	if err != nil {
-		return nil, 0, err
-	}
-	fnHash := funcHash(m, funcIdx)
-	out := make(map[string][]core.TypePrediction, len(sig.Params)+1)
-	hits := 0
-	var paramQs, returnQs []elemQuery
-	if e.pred.Param != nil {
-		for pi := range sig.Params {
-			name := fmt.Sprintf("param%d", pi)
-			key := cacheKey{model: e.fp, fn: fnHash, elem: name, k: k, engine: tier}
-			if preds, ok := s.cache.get(key); ok {
-				s.met.cacheHits.Inc()
-				pm.cacheHits.Inc()
-				out[name] = preds
-				hits++
-				continue
-			}
-			s.met.cacheMisses.Inc()
-			pm.cacheMisses.Inc()
-			src, err := e.pred.ParamInput(m, funcIdx, pi)
-			if err != nil {
-				return nil, hits, err
-			}
-			paramQs = append(paramQs, elemQuery{key: key, name: name, src: src, k: k})
-		}
-	}
-	if len(sig.Results) > 0 && e.pred.Return != nil {
-		key := cacheKey{model: e.fp, fn: fnHash, elem: "return", k: k, engine: tier}
-		if preds, ok := s.cache.get(key); ok {
-			s.met.cacheHits.Inc()
-			pm.cacheHits.Inc()
-			out["return"] = preds
-			hits++
-		} else {
-			s.met.cacheMisses.Inc()
-			pm.cacheMisses.Inc()
-			src, err := e.pred.ReturnInput(m, funcIdx)
-			if err != nil {
-				return nil, hits, err
-			}
-			returnQs = append(returnQs, elemQuery{key: key, name: "return", src: src, k: k})
-		}
-	}
-	if err := s.runQueries(ctx, e.pred.Param, e.paramBatch, paramQs, out, pm); err != nil {
-		return nil, hits, err
-	}
-	if err := s.runQueries(ctx, e.pred.Return, e.returnBatch, returnQs, out, pm); err != nil {
-		return nil, hits, err
-	}
-	return out, hits, nil
 }
 
 // ListenAndServe runs the HTTP service on cfg.Addr until Shutdown. It
@@ -509,10 +524,9 @@ func (s *Server) ListenAndServe() error {
 
 // Shutdown gracefully stops the service: it stops accepting connections,
 // waits (up to ctx) for in-flight requests to finish, drains and stops
-// the worker pool, then drains every registered engine set (stopping its
-// batching dispatchers — the workers are the batchers' only producers, so
-// every coalesced query still in flight completes first), and finally
-// compacts the prediction cache to its on-disk snapshot.
+// the worker pool (every decode runs inside a worker job, so none is in
+// flight afterwards), then retires every registered engine set, and
+// finally compacts the prediction cache to its on-disk snapshot.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.httpMu.Lock()

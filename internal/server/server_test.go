@@ -295,7 +295,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"snowwhite_request_seconds_bucket",
 		"snowwhite_inference_seconds_bucket",
 		"snowwhite_batch_size_bucket",
-		"snowwhite_batch_queue_seconds_bucket",
 		"snowwhite_in_flight_requests 0",
 	} {
 		if !strings.Contains(out, want) {
@@ -339,6 +338,61 @@ func TestConcurrentRequests(t *testing.T) {
 	close(failures)
 	for f := range failures {
 		t.Error(f)
+	}
+}
+
+// TestServerStressMixedDeadlines hammers a server with concurrent
+// clients under mixed client-side timeouts, with the cache off so every
+// request decodes, then shuts down while clients are still sending; run
+// under -race this exercises the submit/decode/drain paths.
+func TestServerStressMixedDeadlines(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Workers:    8,
+		QueueDepth: 64,
+		CacheSize:  -1, // every request decodes
+	})
+	_, bin := testPredictor(t)
+
+	var wg sync.WaitGroup
+	for c := 0; c < 16; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			timeout := 30 * time.Second
+			if c%4 == 3 {
+				timeout = time.Millisecond // hopeless deadline; must not wedge anything
+			}
+			client := &http.Client{Timeout: timeout}
+			for i := 0; i < 6; i++ {
+				resp, err := client.Post(ts.URL+"/v1/predict?k=2", "application/wasm", bytes.NewReader(bin))
+				if err != nil {
+					continue // client timeout or server mid-shutdown
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable &&
+					resp.StatusCode != http.StatusGatewayTimeout {
+					t.Errorf("unexpected status %d", resp.StatusCode)
+				}
+			}
+		}(c)
+	}
+	// Shut down while clients are still in flight: the HTTP layer drains
+	// first, then the worker pool — every accepted request completes and
+	// later sends fail at the client.
+	time.Sleep(50 * time.Millisecond)
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(120 * time.Second):
+		t.Fatal("stress clients wedged")
+	}
+	if got := s.met.batchSize.Count(); got == 0 {
+		t.Error("no decodes recorded under concurrent load")
 	}
 }
 

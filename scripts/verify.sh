@@ -29,10 +29,12 @@ go test -race -count=2 -run 'TestEvalParallelDeterministic|TestPredictConcurrent
 echo "== train determinism/race stress (-count=2 to vary scheduling) =="
 go test -race -count=2 -run 'TestFitParallelGolden|TestFitParallelResumeMatchesUninterrupted|TestFitShardedRaceStress' \
 	./internal/seq2seq
-echo "== batched-predict determinism + server batcher (-count=2 to vary scheduling) =="
+echo "== batched-predict determinism (-count=2 to vary scheduling) =="
 go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise' \
 	./internal/seq2seq ./internal/ad
-go test -race -count=2 -run 'TestBatcher|TestServerBatcherStress' ./internal/server
+echo "== server stress: deadlines, mixed engines, hot swap, shutdown (-count=2) =="
+go test -race -count=2 -run 'TestServerStressMixedDeadlines|TestMixedEngineStressShutdown|TestConcurrentRequests|TestHotSwapUnderLoad' \
+	./internal/server
 echo "== fuzz seed corpora (no mutation; smoke-checks the native targets) =="
 go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest' \
 	./internal/dwarf ./internal/wasm ./internal/leb128 ./internal/bpe ./internal/ingest
