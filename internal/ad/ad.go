@@ -80,6 +80,33 @@ func f32w(v *V) []float32 {
 	return v.W32
 }
 
+// RowBlocks splits v into views of consecutive rows-row blocks: block
+// i is rows [i*rows, (i+1)*rows) of v, sharing v's storage (values,
+// float32 values and gradients, whichever v carries). One slice holds
+// every view, so splitting a sequence's stacked projection costs one
+// allocation, not one per timestep.
+func (v *V) RowBlocks(rows int) []V {
+	if rows <= 0 || v.R%rows != 0 {
+		panic(fmt.Sprintf("ad: RowBlocks of %d rows into blocks of %d", v.R, rows))
+	}
+	n := rows * v.C
+	blocks := make([]V, v.R/rows)
+	for i := range blocks {
+		b := &blocks[i]
+		b.R, b.C = rows, v.C
+		if len(v.W) > 0 {
+			b.W = v.W[i*n : (i+1)*n : (i+1)*n]
+		}
+		if len(v.G) > 0 {
+			b.G = v.G[i*n : (i+1)*n : (i+1)*n]
+		}
+		if len(v.W32) > 0 {
+			b.W32 = v.W32[i*n : (i+1)*n : (i+1)*n]
+		}
+	}
+	return blocks
+}
+
 // At returns the element at row i, column j.
 func (v *V) At(i, j int) float64 { return v.W[i*v.C+j] }
 
@@ -108,8 +135,9 @@ type Tape struct {
 	// pool recycles value storage on forward tapes (may be nil).
 	pool *Pool
 	// live tracks pool-eligible values allocated since the last Keep or
-	// ReleaseExcept.
-	live []*V
+	// ReleaseExcept; kept holds the values Keep exempted from
+	// ReleaseExcept, which Reset still returns.
+	live, kept []*V
 	// f32 marks a single-precision forward tape (NewForwardF32): every
 	// op computes in float32 (V.W32) through the kernels in
 	// kernels_f32.go. Only the forward-only constructor sets it and
@@ -202,10 +230,67 @@ func (t *Tape) scratch32(n int) []float32 {
 	return v.W32
 }
 
-// Keep marks every value allocated on the tape so far as permanent:
-// later ReleaseExcept calls will not recycle them. Beam search calls it
-// once after encoding, so the encoder outputs survive all decode steps.
-func (t *Tape) Keep() { t.live = t.live[:0] }
+// tmp draws a zeroed n-element buffer the tape does not track: storage
+// that is dead once its user is done with it — an op's internal
+// temporaries on a forward tape, or a ProjectSteps result — handed back
+// through Free instead of waiting for ReleaseExcept or Reset, so that
+// it is reused within the same search group. f32 tapes get float32
+// storage.
+func (t *Tape) tmp(n int) *V {
+	switch {
+	case t.pool == nil && t.F32():
+		return &V{R: n, C: 1, W32: make([]float32, n)}
+	case t.pool == nil:
+		return &V{R: n, C: 1, W: make([]float64, n)}
+	case t.F32():
+		return t.pool.get32(n, 1)
+	}
+	return t.pool.get(n, 1)
+}
+
+// Free returns values the tape does not track — ProjectSteps results —
+// to its pool once nothing reads them any more; nil values are skipped.
+// Without a pool it does nothing; a value never freed is left to the
+// garbage collector.
+func (t *Tape) Free(vs ...*V) {
+	if t.pool == nil {
+		return
+	}
+	for _, v := range vs {
+		if v != nil {
+			t.pool.put(v)
+		}
+	}
+}
+
+// opBuf returns an n-element buffer for an op's internal state, with
+// the value to Free when the op returns. Recording tapes keep the state
+// for the backward pass: there it is scratch, returned by Reset, and
+// the value is nil.
+func (t *Tape) opBuf(n int) ([]float64, *V) {
+	if t.grad {
+		return t.scratch(n), nil
+	}
+	v := t.tmp(n)
+	return v.W, v
+}
+
+// Zeros returns a zero-filled [r,c] value with the storage and lifetime
+// of the tape's op outputs (gradient storage on recording tapes, pooled
+// where the tape is pooled). It records nothing: use it for constants
+// such as an initial recurrent state.
+func (t *Tape) Zeros(r, c int) *V { return t.new(r, c) }
+
+// Keep exempts every value allocated on the tape so far from later
+// ReleaseExcept calls; Reset still returns them to the pool. Beam search
+// calls it once after encoding, so the encoder outputs survive every
+// decode step, and resets the tape when the search group is done, so
+// the encoder's working set is recycled by the next group instead of
+// being allocated afresh.
+func (t *Tape) Keep() {
+	t.kept = append(t.kept, t.live...)
+	t.live = t.live[:0]
+}
 
 // ReleaseExcept returns the values allocated since the last Keep or
 // ReleaseExcept to the tape's pool, except those listed in keep, which
@@ -234,17 +319,24 @@ scan:
 	t.live = kept
 }
 
-// Reset returns every value the tape allocated to its pool and clears
-// the recorded backward pass, retaining slice capacity. Externally
-// created values (parameters) are untouched. Training shard workers call
-// it between shards so each step reuses the previous step's storage; do
-// not mix with Keep, which hides values from Reset.
+// Reset returns every value the tape allocated — kept or live — to its
+// pool and clears the recorded backward pass, retaining slice capacity.
+// Externally created values (parameters) are untouched, and no value
+// the tape produced may be used afterwards. Training shard workers call
+// it between shards so each step reuses the previous step's storage;
+// beam search calls it at the end of every search group.
 func (t *Tape) Reset() {
 	if t.pool != nil {
+		for _, v := range t.kept {
+			t.pool.put(v)
+		}
 		for _, v := range t.live {
 			t.pool.put(v)
 		}
 	}
+	clear(t.kept)
+	clear(t.live)
+	t.kept = t.kept[:0]
 	t.live = t.live[:0]
 	for i := range t.backward {
 		t.backward[i] = nil

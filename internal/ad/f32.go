@@ -86,28 +86,39 @@ func (t *Tape) tanhF32(a *V) *V {
 	out := t.new(a.R, a.C)
 	ow := out.W32
 	for i, x := range aw {
-		if x < 0 {
-			x = -x
-		}
-		ow[i] = -2 * x
+		ow[i] = tanhArg32(x)
 	}
 	expv32(ow, ow)
 	for i, x := range aw {
-		e := ow[i]
-		v := (1 - e) / (1 + e)
-		switch {
-		case x != x:
-			v = x
-		case x > 9.01:
-			v = 1
-		case x < -9.01:
-			v = -1
-		case x < 0:
-			v = -v
-		}
-		ow[i] = v
+		ow[i] = tanhFinish32(x, ow[i])
 	}
 	return out
+}
+
+// tanhArg32 is the exp argument of the vectorized tanh: -2|x|.
+func tanhArg32(x float32) float32 {
+	if x < 0 {
+		x = -x
+	}
+	return -2 * x
+}
+
+// tanhFinish32 completes the vectorized tanh of x from e =
+// exp(tanhArg32(x)): the rational form with tanhf32's exact saturation,
+// sign and NaN edges restored from x.
+func tanhFinish32(x, e float32) float32 {
+	v := (1 - e) / (1 + e)
+	switch {
+	case x != x:
+		v = x
+	case x > 9.01:
+		v = 1
+	case x < -9.01:
+		v = -1
+	case x < 0:
+		v = -v
+	}
+	return v
 }
 
 func (t *Tape) reluF32(a *V) *V {

@@ -20,9 +20,9 @@ import "sync"
 // data-dependent branch inside the micro-kernel costs more than the
 // loads it saves. matmulNT has no skip semantics, so it keeps a classic
 // 4x4 register micro-kernel (sixteen independent accumulator chains)
-// with a panel-packed b for tall a. Remainder rows and columns fall
-// through to the scalar kernels, which double as the oracle reference
-// in kernels_test.go.
+// with a panel-packed b for tall a. Remainder rows and columns run the
+// scalar kernels' loops (matmul's through axpy); the scalar kernels
+// double as the oracle reference in kernels_test.go.
 //
 // On amd64 hosts with AVX2 the all-nonzero band fast path and axpy
 // dispatch to vector micro-kernels (kernels_amd64.s). Those use
@@ -148,8 +148,17 @@ func matmul(out, a, b []float64, r, k, c int) {
 			}
 		}
 	}
-	if ib < r {
-		matmulScalar(out[ib*c:], a[ib*k:], b, r-ib, k, c)
+	// Remainder rows: the scalar kernel's per-row ascending-p axpy with
+	// its skip-zero test, on the vector axpy where the host has one —
+	// the whole GEMM when fewer than four rows (a small search group's
+	// recurrent step) never forms a band.
+	for i := ib; i < r; i++ {
+		oi := out[i*c : i*c+c : i*c+c]
+		for p, av := range a[i*k : (i+1)*k] {
+			if av != 0 {
+				axpy(oi, b[p*c:p*c+c:p*c+c], av)
+			}
+		}
 	}
 }
 
@@ -385,8 +394,8 @@ func matmulTN(out, a, b []float64, r, k, c int) {
 }
 
 // The scalar kernels below are the pre-blocking implementations. They
-// serve as the remainder path for dimensions not divisible by blockDim
-// and as the bitwise oracle the blocked kernels are tested against.
+// are the bitwise oracle the blocked kernels are tested against, and
+// matmulNT's remainder path for dimensions not divisible by blockDim.
 
 // matmulScalar is the scalar reference for matmul.
 func matmulScalar(out, a, b []float64, r, k, c int) {

@@ -332,16 +332,30 @@ func buildExpConsts32() *[14 * 8]float32 {
 // few float32 ulps (TestVExp32TracksScalar bounds them together);
 // saturation and NaN edges match exactly by construction (the masks
 // compare the original input, as the scalar does). o and x may alias.
+//
+// Where the vector body runs, it runs for every element: the len%8
+// tail goes through it too, padded to a full vector on the stack, so an
+// element's result never depends on its index or on the slice's length.
+// A row of attention scores padded to its group's longest source
+// therefore exponentiates exactly as it does unpadded
+// (TestExpV32PositionInvariant).
 func expv32(o, x []float32) {
 	o = o[:len(x)]
-	i := 0
-	if useFMA && len(x) >= 8 {
-		m := len(x) &^ 7
-		vexpFMA32(&o[0], &x[0], &expConsts32[0], m)
-		i = m
+	if !useFMA {
+		for i, v := range x {
+			o[i] = expf32(v)
+		}
+		return
 	}
-	for ; i < len(x); i++ {
-		o[i] = expf32(x[i])
+	m := len(x) &^ 7
+	if m > 0 {
+		vexpFMA32(&o[0], &x[0], &expConsts32[0], m)
+	}
+	if m < len(x) {
+		var tail [8]float32
+		n := copy(tail[:], x[m:])
+		vexpFMA32(&tail[0], &tail[0], &expConsts32[0], 8)
+		copy(o[m:], tail[:n])
 	}
 }
 

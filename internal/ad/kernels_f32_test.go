@@ -585,6 +585,84 @@ func TestVExp32TracksScalar(t *testing.T) {
 	}
 }
 
+// TestExpV32PositionInvariant: an element's exp must not depend on its
+// index or on the length of the slice it is exponentiated in — on the
+// vector path the len%8 tail runs through the vector body too. Without
+// that, a row of attention scores padded to its search group's longest
+// source sent its last few real positions through the scalar exp when
+// decoded alone and through the vector exp in a group, so an f32 query's
+// scores depended on what it was batched with. Checked on both the
+// assembly and the pure-Go path, and at the op level: a masked softmax
+// row is bitwise the same at every padded length.
+func TestExpV32PositionInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	x := make([]float32, 64)
+	for i := range x {
+		x[i] = float32(r.NormFloat64() * 6)
+	}
+	asm, golang := withFMA32(func() []float32 {
+		var got []float32
+		for n := 1; n <= 24; n++ {
+			for off := 0; off+n <= len(x); off += 5 {
+				out := make([]float32, n)
+				expv32(out, x[off:off+n])
+				got = append(got, out...)
+			}
+		}
+		return got
+	})
+	for _, res := range []struct {
+		name string
+		got  []float32
+	}{{"asm", asm}, {"go", golang}} {
+		saved := useFMA
+		useFMA = saved && res.name == "asm"
+		whole := make([]float32, len(x))
+		expv32(whole, x)
+		useFMA = saved
+		i := 0
+		for n := 1; n <= 24; n++ {
+			for off := 0; off+n <= len(x); off += 5 {
+				for j := 0; j < n; j++ {
+					if res.got[i] != whole[off+j] {
+						t.Fatalf("%s: exp(x[%d]) = %v in a %d-element slice at offset %d, %v in the full slice",
+							res.name, off+j, res.got[i], n, off, whole[off+j])
+					}
+					i++
+				}
+			}
+		}
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		T := 1 + r.Intn(20)
+		scores := make([]float64, T)
+		for i := range scores {
+			scores[i] = r.NormFloat64() * 8
+		}
+		var ref []float32
+		for pad := T; pad <= T+17; pad++ {
+			a := New(1, pad)
+			mask := make([]float64, pad)
+			copy(a.W, scores)
+			for i := 0; i < T; i++ {
+				mask[i] = 1
+			}
+			a.SyncF32()
+			got := NewForwardF32(nil).SoftmaxRowsMaskedGrouped(a, mask, []int{0}).W32[:T]
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("T=%d padded to %d: weight %d = %v, unpadded %v", T, pad, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
 // TestVAdd32Bitwise: the vector add kernel uses plain single-rounded
 // additions, so unlike the FMA kernels it owes bitwise equality with
 // the scalar loop at every length (vector body, 8-wide step, scalar

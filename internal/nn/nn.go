@@ -164,9 +164,10 @@ type State struct {
 	H, C *ad.V
 }
 
-// ZeroState returns an all-zero state for a batch of the given size.
-func (l *LSTM) ZeroState(batch int) State {
-	return State{H: ad.New(batch, l.Hidden), C: ad.New(batch, l.Hidden)}
+// ZeroState returns an all-zero state for a batch of the given size,
+// allocated on the tape (and recycled with it where the tape is pooled).
+func (l *LSTM) ZeroState(t *ad.Tape, batch int) State {
+	return State{H: t.Zeros(batch, l.Hidden), C: t.Zeros(batch, l.Hidden)}
 }
 
 // GatherState selects rows of a batched recurrent state: row r of the
@@ -177,27 +178,20 @@ func GatherState(t *ad.Tape, s State, idx []int) State {
 	return State{H: t.GatherRows(s.H, idx), C: t.GatherRows(s.C, idx)}
 }
 
-// Step advances the LSTM one timestep with input x [B, in].
+// Step advances the LSTM one timestep with input x [B, in]: one fused
+// ad.Tape.LSTMCell op.
 func (l *LSTM) Step(t *ad.Tape, x *ad.V, s State) State {
-	z := t.Add(t.Add(t.MatMul(x, l.Wx), t.MatMul(s.H, l.Wh)), l.B)
-	H := l.Hidden
-	i := t.Sigmoid(t.SliceCols(z, 0, H))
-	f := t.Sigmoid(t.SliceCols(z, H, 2*H))
-	g := t.Tanh(t.SliceCols(z, 2*H, 3*H))
-	o := t.Sigmoid(t.SliceCols(z, 3*H, 4*H))
-	c := t.Add(t.Mul(f, s.C), t.Mul(i, g))
-	h := t.Mul(o, t.Tanh(c))
-	return State{H: h, C: c}
+	return l.StepMasked(t, x, nil, s, nil)
 }
 
 // StepMasked advances the LSTM but holds state constant for examples
-// whose mask entry is 0 (padding timesteps).
-func (l *LSTM) StepMasked(t *ad.Tape, x *ad.V, s State, mask []float64) State {
-	next := l.Step(t, x, s)
-	return State{
-		H: t.Blend(next.H, s.H, mask),
-		C: t.Blend(next.C, s.C, mask),
-	}
+// whose mask entry is 0 (padding timesteps); a nil mask advances every
+// row. xw (may be nil) is this step's row block of
+// t.ProjectSteps(xs, l.Wx), the input projection x·Wx computed for the
+// whole sequence at once.
+func (l *LSTM) StepMasked(t *ad.Tape, x, xw *ad.V, s State, mask []float64) State {
+	h, c := t.LSTMCell(x, xw, s.H, s.C, l.Wx, l.Wh, l.B, mask)
+	return State{H: h, C: c}
 }
 
 // Adam is the Adam optimizer with global-norm gradient clipping.

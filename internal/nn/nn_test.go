@@ -45,7 +45,7 @@ func TestLSTMStep(t *testing.T) {
 	for i := range x.W {
 		x.W[i] = r.NormFloat64()
 	}
-	s := l.ZeroState(2)
+	s := l.ZeroState(tape, 2)
 	s1 := l.Step(tape, x, s)
 	if s1.H.R != 2 || s1.H.C != 6 || s1.C.R != 2 {
 		t.Fatalf("state shapes wrong")
@@ -57,7 +57,7 @@ func TestLSTMStep(t *testing.T) {
 		}
 	}
 	// Masked step holds state for masked example.
-	s2 := l.StepMasked(tape, x, s1, []float64{1, 0})
+	s2 := l.StepMasked(tape, x, nil, s1, []float64{1, 0})
 	for j := 0; j < 6; j++ {
 		if s2.H.At(1, j) != s1.H.At(1, j) {
 			t.Errorf("masked example state changed")
@@ -96,7 +96,7 @@ func TestLSTMLearnsToggle(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		seq, label := gen()
 		tape := ad.NewTape()
-		s := lstm.ZeroState(1)
+		s := lstm.ZeroState(tape, 1)
 		for _, tok := range seq {
 			x := emb.Lookup(tape, []int{tok})
 			s = lstm.Step(tape, x, s)
@@ -120,7 +120,7 @@ func TestLSTMLearnsToggle(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		seq, label := gen()
 		tape := ad.NewTape()
-		s := lstm.ZeroState(1)
+		s := lstm.ZeroState(tape, 1)
 		for _, tok := range seq {
 			s = lstm.Step(tape, emb.Lookup(tape, []int{tok}), s)
 		}

@@ -40,6 +40,22 @@ func (n *beamNode) tokens() []int {
 	return out
 }
 
+// nodeSlab hands out beam nodes from chunked backing arrays. Every
+// step extends up to width hypotheses per search, and one allocation
+// per node was most of what a pooled decode still allocated; nodes only
+// live until the group's predictions are materialized, so they can
+// share chunks. A full chunk is never grown in place — a new one is
+// started — so handed-out pointers stay valid.
+type nodeSlab struct{ buf []beamNode }
+
+func (s *nodeSlab) new(id int, prev *beamNode) *beamNode {
+	if len(s.buf) == cap(s.buf) {
+		s.buf = make([]beamNode, 0, 256)
+	}
+	s.buf = append(s.buf, beamNode{id: id, prev: prev})
+	return &s.buf[len(s.buf)-1]
+}
+
 // predictGroup bounds how many searches one batched decode advances in
 // lockstep. With width-5 beams a full group packs up to 40 hypothesis
 // rows per decoder GEMM — deep enough to engage the band-fused kernels —
@@ -192,10 +208,11 @@ func (m *Model) predictMulti(srcs [][]string, ks []int, stop func() error) ([][]
 	}
 	pool := m.getPool()
 	defer m.putPool(pool)
+	tape := m.inferTape(pool)
 	out := make([][]Prediction, 0, len(srcs))
 	for lo := 0; lo < len(srcs); lo += predictGroup {
 		hi := min(lo+predictGroup, len(srcs))
-		group, err := m.predictMultiOn(m.inferTape(pool), srcs[lo:hi], ks[lo:hi], stop)
+		group, err := m.predictMultiOn(tape, srcs[lo:hi], ks[lo:hi], stop)
 		if err != nil {
 			return nil, err
 		}
@@ -242,11 +259,16 @@ type mbeam struct {
 // aborts the decode and propagates that error, discarding the partial
 // beams. The poll sits outside every accumulation, so a decode that runs
 // to completion is bitwise independent of whether stop was supplied.
+//
+// On return the tape is reset: every value the group allocated, the
+// encoder's working set included, goes back to the tape's pool for the
+// next group to reuse.
 func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop func() error) ([][]Prediction, error) {
 	S := len(srcs)
 	if S == 0 {
 		return nil, nil
 	}
+	defer tape.Reset()
 	maxLen := m.Cfg.MaxTgtLen
 	if maxLen <= 0 {
 		maxLen = 16
@@ -279,6 +301,7 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 	// cycle.
 	tape.Keep()
 
+	var nodes nodeSlab
 	searches := make([]msearch, S)
 	for si := range searches {
 		k := ks[si]
@@ -291,7 +314,7 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 		}
 		searches[si] = msearch{
 			k: k, width: width,
-			beams: []mbeam{{node: &beamNode{id: BOS}, row: si}},
+			beams: []mbeam{{node: nodes.new(BOS, nil), row: si}},
 		}
 	}
 
@@ -364,7 +387,7 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 			for _, c := range cands {
 				node := c.parent
 				if !c.carried {
-					node = &beamNode{id: c.id, prev: c.parent}
+					node = nodes.new(c.id, c.parent)
 				}
 				sr.beams = append(sr.beams, mbeam{node: node, logp: c.logp, row: c.row, stopped: c.stopped})
 			}
@@ -422,8 +445,9 @@ func (m *Model) predictSequentialOn(tape *ad.Tape, src []string, k int) []Predic
 	}
 	enc := m.encode(tape, [][]int{ids}, false)
 	// The encoder outputs feed attention at every step: exempt them from
-	// the per-step release cycle.
+	// the per-step release cycle until the search is done.
 	tape.Keep()
+	defer tape.Reset()
 
 	type beam struct {
 		node    *beamNode

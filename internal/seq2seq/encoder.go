@@ -87,42 +87,47 @@ func newBiLSTMEncoder(p *nn.Params, r *rand.Rand, cfg Config) *bilstmEncoder {
 func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool) encoded {
 	B := len(srcIDs)
 	T := len(srcIDs[0])
-	// Per-timestep masks.
-	masks := make([][]float64, T)
+	// Per-timestep masks and token ids, time-major, each one flat
+	// allocation; flat is the example-major attention mask.
+	masks := make([]float64, T*B)
+	ids := make([]int, T*B)
 	flat := make([]float64, B*T)
 	for tt := 0; tt < T; tt++ {
-		masks[tt] = make([]float64, B)
 		for b := 0; b < B; b++ {
+			ids[tt*B+b] = srcIDs[b][tt]
 			if srcIDs[b][tt] != PAD {
-				masks[tt][b] = 1
+				masks[tt*B+b] = 1
 				flat[b*T+tt] = 1
 			}
 		}
 	}
+	mask := func(tt int) []float64 { return masks[tt*B : (tt+1)*B] }
 	// Layer-0 inputs: embeddings per timestep.
 	inputs := make([]*ad.V, T)
 	for tt := 0; tt < T; tt++ {
-		ids := make([]int, B)
-		for b := 0; b < B; b++ {
-			ids[b] = srcIDs[b][tt]
-		}
-		inputs[tt] = m.embSrc.Lookup(t, ids)
+		inputs[tt] = m.embSrc.Lookup(t, ids[tt*B:(tt+1)*B])
 	}
 
 	var finalFwd, finalBwd nn.State
+	fwdOut := make([]*ad.V, T)
+	bwdOut := make([]*ad.V, T)
 	for l := range e.fwd {
-		fwdOut := make([]*ad.V, T)
-		bwdOut := make([]*ad.V, T)
-		sf := e.fwd[l].ZeroState(B)
+		// Each direction's input projection for the whole sequence is one
+		// GEMM; the steps read their row blocks of it, and nothing reads
+		// it after them — not even the backward pass.
+		projF, projB := t.ProjectSteps(inputs, e.fwd[l].Wx), t.ProjectSteps(inputs, e.bwd[l].Wx)
+		xwF, xwB := projF.RowBlocks(B), projB.RowBlocks(B)
+		sf := e.fwd[l].ZeroState(t, B)
 		for tt := 0; tt < T; tt++ {
-			sf = e.fwd[l].StepMasked(t, inputs[tt], sf, masks[tt])
+			sf = e.fwd[l].StepMasked(t, inputs[tt], &xwF[tt], sf, mask(tt))
 			fwdOut[tt] = sf.H
 		}
-		sb := e.bwd[l].ZeroState(B)
+		sb := e.bwd[l].ZeroState(t, B)
 		for tt := T - 1; tt >= 0; tt-- {
-			sb = e.bwd[l].StepMasked(t, inputs[tt], sb, masks[tt])
+			sb = e.bwd[l].StepMasked(t, inputs[tt], &xwB[tt], sb, mask(tt))
 			bwdOut[tt] = sb.H
 		}
+		t.Free(projF, projB)
 		next := make([]*ad.V, T)
 		for tt := 0; tt < T; tt++ {
 			h := t.ConcatCols(fwdOut[tt], bwdOut[tt])

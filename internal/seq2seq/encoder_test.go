@@ -120,20 +120,29 @@ func TestPredictAttnWorkingSetWidthIndependent(t *testing.T) {
 	}
 
 	H := m.Cfg.Hidden
-	encElems := len(srcs) * Tmax * H // the shared [S*Tmax,H] operand cache
+	// The encoder's hoisted input projection — one direction's x·Wx for
+	// the whole padded group, [S*Tmax, 4*(H/2)] — is the largest buffer
+	// a decode draws; it is twice the shared [S*Tmax,H] operand cache
+	// attention reads.
+	projElems := len(srcs) * Tmax * 2 * H
 	narrow, wide := maxBuf(5), maxBuf(20)
-	// At narrow width the encoder matrix is the biggest thing in the
-	// pool: no attention buffer exceeds the width-independent cache.
-	if narrow != encElems {
-		t.Errorf("width 5: max pooled buffer %d elems, want the shared encoder matrix (%d)", narrow, encElems)
+	// At narrow width the encoder projection is the biggest thing in the
+	// pool: no attention buffer exceeds that width-independent bound.
+	if narrow != projElems {
+		t.Errorf("width 5: max pooled buffer %d elems, want the encoder input projection (%d)", narrow, projElems)
 	}
 	// At any width, the only buffers allowed to scale with the live-row
 	// count L are the decoder's own [L,·] matrices — the largest being
 	// the LSTM gate matrix [L,4H]. A tiled attention path would draw
 	// [L*Tmax,H] (Tmax/4 times bigger); both checks catch it.
 	gates := len(srcs) * 20 * 4 * H
-	if wide > max(encElems, gates) {
-		t.Errorf("width 20: max pooled buffer %d elems exceeds both the shared encoder matrix (%d) and the decoder gate batch (%d): an attention buffer is scaling with width", wide, encElems, gates)
+	if wide > max(projElems, gates) {
+		t.Errorf("width 20: max pooled buffer %d elems exceeds both the encoder input projection (%d) and the decoder gate batch (%d): an attention buffer is scaling with width", wide, projElems, gates)
+	}
+	// Here the decoder's gate batch at width 20 stays below the
+	// projection, so the peak must not move with width at all.
+	if gates < projElems && wide != narrow {
+		t.Errorf("max pooled buffer %d elems at width 20, %d at width 5: the peak moved with beam width", wide, narrow)
 	}
 	if tile := len(srcs) * 20 * Tmax * H; wide >= tile {
 		t.Errorf("max pooled buffer %d elems >= width-scaled tile %d", wide, tile)

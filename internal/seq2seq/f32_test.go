@@ -61,6 +61,55 @@ func testPredictF32Deterministic(t *testing.T, m *Model, srcs [][]string) {
 	}
 }
 
+// TestPredictF32GroupInvariant: like the exact engine, the f32 engine
+// must give a query the same beams and the same float32-derived scores
+// whether it is decoded alone or together with other queries — in any
+// group, at any position, beside sources of any length. A group pads
+// its sources to the longest one, so every per-row f32 kernel must be
+// independent of the row's length and position in its batch. The
+// dependence this pins came from the vector exp's scalar tail, whose
+// one-ulp differences this toy model's attention happens to round
+// away; ad.TestExpV32PositionInvariant pins the kernel itself.
+func TestPredictF32GroupInvariant(t *testing.T) {
+	m, srcs := predictTestModel(t, 2)
+	r := rand.New(rand.NewSource(31))
+	long := make([]string, 0, 3*len(srcs[0]))
+	for len(long) < m.Cfg.MaxSrcLen {
+		long = append(long, srcs[r.Intn(len(srcs))]...)
+	}
+	srcs = append(srcs, long)
+	if err := m.SetPrecision("f32"); err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	alone := make([][]Prediction, len(srcs))
+	for i, src := range srcs {
+		alone[i] = m.Predict(src, k)
+	}
+	check := func(order []int) {
+		t.Helper()
+		group := make([][]string, len(order))
+		for gi, i := range order {
+			group[gi] = srcs[i]
+		}
+		got := m.PredictMulti(group, uniformK(len(group), k))
+		for gi, i := range order {
+			if !reflect.DeepEqual(got[gi], alone[i]) {
+				t.Fatalf("src %d at slot %d of a %d-query call: f32 beams differ from decoding it alone\ngot  %v\nwant %v",
+					i, gi, len(order), got[gi], alone[i])
+			}
+		}
+	}
+	all := make([]int, len(srcs))
+	for i := range all {
+		all[i] = i
+	}
+	check(all)
+	for trial := 0; trial < 8; trial++ {
+		check(r.Perm(len(srcs))[:1+r.Intn(predictGroup)])
+	}
+}
+
 // TestSetPrecisionUnknown: the precision knob rejects anything but the
 // two engines it can deliver, leaving the model untouched.
 func TestSetPrecisionUnknown(t *testing.T) {

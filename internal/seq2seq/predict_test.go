@@ -2,6 +2,7 @@ package seq2seq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -235,6 +236,90 @@ func TestPredictAllocsBounded(t *testing.T) {
 	reference := testing.AllocsPerRun(20, func() { referencePredict(m, src, 5) })
 	if pooled > reference/2 {
 		t.Errorf("pooled Predict allocates %.0f objects/run, reference %.0f — pooling is not engaging", pooled, reference)
+	}
+}
+
+// TestPredictSteadyStateAllocs pins the recycling pool end to end: once
+// warmed, a PredictMulti group on the paper-scale bench model draws its
+// encoder and decoder working set entirely from the pool — the group's
+// encoder values go back at the end of every group — so on both engines
+// what is left per search is the beam bookkeeping and the results
+// (≈1,570 allocations per search before the encoder set was recycled).
+// The count is the least over several warmed calls: under the race
+// detector sync.Pool deliberately drops a share of the pools handed
+// back to it, and a call that draws a fresh pool allocates its whole
+// working set once; without -race every call counts the same.
+func TestPredictSteadyStateAllocs(t *testing.T) {
+	const budget = 200
+	m, srcs := benchGroup(16)
+	ks := uniformK(len(srcs), 5)
+	for _, precision := range []string{"f64", "f32"} {
+		if err := m.SetPrecision(precision); err != nil {
+			t.Fatal(err)
+		}
+		m.PredictMulti(srcs, ks) // warm the buffer pool
+		least := math.Inf(1)
+		for i := 0; i < 8; i++ {
+			least = min(least, testing.AllocsPerRun(1, func() { m.PredictMulti(srcs, ks) }))
+		}
+		perSearch := least / float64(len(srcs))
+		if perSearch > budget {
+			t.Errorf("%s: warmed PredictMulti makes %.0f allocations per search, budget %d", precision, perSearch, budget)
+		}
+	}
+}
+
+// TestPoolRetentionBounded: free lists keyed by exact element count
+// would keep one buffer for every distinct B×T shape a long-running
+// decoder ever saw, and would miss on every new one. Decoding 50 groups
+// whose source lengths all differ through one pool must leave it
+// retaining at most twice what the largest of those groups needs on its
+// own, and a group of new lengths must allocate about as little as a
+// group the pool has seen before: capacity classes let a buffer serve
+// every nearby shape.
+func TestPoolRetentionBounded(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	cfg := testConfig()
+	cfg.MaxSrcLen = 200
+	cfg.MaxTgtLen = 4
+	m := buildModel(t, cfg, makeToyData(r, 40))
+	const groups = 50
+	group := func(g int) [][]string {
+		srcs := make([][]string, predictGroup)
+		for i := range srcs {
+			srcs[i] = benchSrc(r, m.Src, 20+3*g+i) // every group's lengths are new
+		}
+		return srcs
+	}
+	ks := uniformK(predictGroup, 5)
+	decode := func(pool *ad.Pool, srcs [][]string) {
+		if _, err := m.predictMultiOn(ad.NewForward(pool), srcs, ks, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	largest := ad.NewPool()
+	decode(largest, group(groups-1))
+	peak := largest.RetainedBytes()
+	if peak == 0 {
+		t.Fatal("a decoded group returned nothing to its pool")
+	}
+	pool := ad.NewPool()
+	for g := 0; g < groups; g++ {
+		decode(pool, group(g))
+		if got := pool.RetainedBytes(); got > 2*peak {
+			t.Fatalf("after group %d the pool retains %d bytes, more than twice the largest group's %d", g, got, peak)
+		}
+	}
+
+	unseen := ad.NewPool()
+	decode(unseen, group(0))
+	next := 1
+	fresh := testing.AllocsPerRun(10, func() { decode(unseen, group(next)); next++ })
+	same, own := group(groups/2), ad.NewPool()
+	repeat := testing.AllocsPerRun(10, func() { decode(own, same) })
+	if fresh > 2*repeat {
+		t.Errorf("a group of unseen lengths allocates %.0f objects, a repeated group %.0f: buffers are not reused across shapes", fresh, repeat)
 	}
 }
 

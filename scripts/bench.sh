@@ -9,7 +9,10 @@
 #                       BenchmarkEvalThroughput,
 #                       BenchmarkServerPredictConcurrent
 #   BENCH_infer.json    BenchmarkF32Kernels (f32 NN/NT/TN, asm vs
-#                       pure-Go), BenchmarkPredictF32 (end-to-end full
+#                       pure-Go), BenchmarkLSTMCell (the fused LSTM
+#                       cell vs the op composition it replaced,
+#                       forward and forward+backward),
+#                       BenchmarkPredictF32 (end-to-end full
 #                       vs f32 beam decode), BenchmarkPredictSharedAttn
 #                       (shared-encoder attention working set across
 #                       beam widths), BenchmarkPredictTransformer
@@ -116,7 +119,7 @@ stop_serve
 
 echo "== inference f32 + shared-attention benchmarks (BENCH_infer.json) =="
 {
-	go test -run '^$' -bench 'BenchmarkF32Kernels' ./internal/ad
+	go test -run '^$' -bench 'BenchmarkF32Kernels|BenchmarkLSTMCell' ./internal/ad
 	go test -run '^$' \
 		-bench 'BenchmarkPredictF32|BenchmarkPredictSharedAttn|BenchmarkPredictTransformer' \
 		-timeout 30m ./internal/seq2seq

@@ -29,8 +29,8 @@ go test -race -count=2 -run 'TestEvalParallelDeterministic|TestPredictConcurrent
 echo "== train determinism/race stress (-count=2 to vary scheduling) =="
 go test -race -count=2 -run 'TestFitParallelGolden|TestFitParallelResumeMatchesUninterrupted|TestFitShardedRaceStress' \
 	./internal/seq2seq
-echo "== batched-predict determinism (-count=2 to vary scheduling) =="
-go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise' \
+echo "== batched-predict determinism, fused LSTM cell, recycling pool (-count=2 to vary scheduling) =="
+go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise|TestLSTMCellMatchesComposition|TestLSTMCellF32TracksComposition|TestProjectStepsMatchesPerStep|TestExpV32PositionInvariant|TestPredictF32GroupInvariant|TestPredictSteadyStateAllocs|TestPoolRetentionBounded|TestPoolRetentionCapped|TestLoadRejectsHostileConfig' \
 	./internal/seq2seq ./internal/ad
 echo "== server stress: deadlines, mixed engines, hot swap, shutdown (-count=2) =="
 go test -race -count=2 -run 'TestServerStressMixedDeadlines|TestMixedEngineStressShutdown|TestConcurrentRequests|TestHotSwapUnderLoad' \
