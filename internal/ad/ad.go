@@ -420,27 +420,6 @@ func (t *Tape) Add(a, b *V) *V {
 	return out
 }
 
-// Sub returns a - b (same shape).
-func (t *Tape) Sub(a, b *V) *V {
-	sameShape("Sub", a, b)
-	if t.f32 && !t.grad {
-		return t.subF32(a, b)
-	}
-	out := t.new(a.R, a.C)
-	for i := range out.W {
-		out.W[i] = a.W[i] - b.W[i]
-	}
-	if t.grad {
-		t.record(func() {
-			for i := range out.G {
-				a.G[i] += out.G[i]
-				b.G[i] -= out.G[i]
-			}
-		})
-	}
-	return out
-}
-
 // Mul returns the elementwise product a * b.
 func (t *Tape) Mul(a, b *V) *V {
 	sameShape("Mul", a, b)
@@ -612,11 +591,13 @@ func (t *Tape) Rows(a *V, idx []int) *V {
 // 1/(1-p) (inverted dropout). rng must be a deterministic source; pass
 // p=0 (or train=false at the layer level) to disable.
 func (t *Tape) Dropout(a *V, p float64, rng func() float64) *V {
+	if t.f32 {
+		// Training-only op, like SoftmaxCrossEntropy: callers apply
+		// dropout only with train=true, which f32 tapes never get.
+		panic("ad: Dropout on an f32 tape")
+	}
 	if p <= 0 {
 		return a
-	}
-	if t.f32 && !t.grad {
-		return t.dropoutF32(a, p, rng)
 	}
 	out := t.new(a.R, a.C)
 	mask := t.scratch(len(a.W))

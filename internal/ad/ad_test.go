@@ -104,7 +104,7 @@ func TestGradElementwise(t *testing.T) {
 	a, b := randV(r, 2, 3), randV(r, 2, 3)
 	checkGrads(t, []*V{a, b}, func(tape *Tape) *V {
 		x := tape.Mul(tape.Sigmoid(a), tape.Tanh(b))
-		x = tape.Sub(x, tape.Scale(b, 0.3))
+		x = tape.Add(x, tape.Scale(b, -0.3))
 		return sumAll(tape, x)
 	})
 }
@@ -140,26 +140,43 @@ func TestGradSoftmaxCE(t *testing.T) {
 	})
 }
 
+// TestGradAttention checks the attention chain's backward by finite
+// differences on the two ways the model uses it: identity groups (one
+// block per row, as in training) and shared blocks (repeated groups, an
+// unused block and a ragged mask, as in beam decoding).
 func TestGradAttention(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	B, T, H := 2, 3, 4
-	dec := randV(r, B, H)
-	enc := randV(r, B*T, H)
-	mask := []float64{1, 1, 0, 1, 1, 1} // padding in example 0
-	checkGrads(t, []*V{dec, enc}, func(tape *Tape) *V {
-		scores := tape.AttnScores(dec, enc, T)
-		alpha := tape.SoftmaxRowsMasked(scores, mask)
-		ctx := tape.WeightedSum(alpha, enc, H)
-		return sumAll(tape, ctx)
+	t.Run("identity", func(t *testing.T) {
+		r := rand.New(rand.NewSource(7))
+		B, T, H := 2, 3, 4
+		dec := randV(r, B, H)
+		enc := randV(r, B*T, H)
+		mask := []float64{1, 1, 0, 1, 1, 1} // padding in example 0
+		groups := []int{0, 1}
+		checkGrads(t, []*V{dec, enc}, func(tape *Tape) *V {
+			scores := tape.AttnScores(dec, enc, groups, T)
+			alpha := tape.SoftmaxRowsMasked(scores, mask, groups)
+			return sumAll(tape, tape.WeightedSum(alpha, enc, groups, H))
+		})
+	})
+	t.Run("shared", func(t *testing.T) {
+		r := rand.New(rand.NewSource(8))
+		dec, enc, mask, groups, T, H := groupedFixture(r)
+		checkGrads(t, []*V{dec, enc}, func(tape *Tape) *V {
+			scores := tape.AttnScores(dec, enc, groups, T)
+			alpha := tape.SoftmaxRowsMasked(scores, mask, groups)
+			return sumAll(tape, tape.WeightedSum(alpha, enc, groups, H))
+		})
 	})
 }
 
+// TestGradStackAndMask checks StackRows' backward through a row mask
+// (Blend against zeros: masked rows pass no gradient).
 func TestGradStackAndMask(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	a, b := randV(r, 2, 3), randV(r, 2, 3)
 	checkGrads(t, []*V{a, b}, func(tape *Tape) *V {
 		st := tape.StackRows([]*V{a, b})
-		masked := tape.MaskRows(st, []float64{1, 0, 1, 1})
+		masked := tape.Blend(st, New(st.R, st.C), []float64{1, 0, 1, 1})
 		return sumAll(tape, masked)
 	})
 }

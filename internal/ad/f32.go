@@ -33,15 +33,6 @@ func (t *Tape) addF32(a, b *V) *V {
 	return out
 }
 
-func (t *Tape) subF32(a, b *V) *V {
-	aw, bw := f32w(a), f32w(b)
-	out := t.new(a.R, a.C)
-	for i := range out.W32 {
-		out.W32[i] = aw[i] - bw[i]
-	}
-	return out
-}
-
 func (t *Tape) mulF32(a, b *V) *V {
 	aw, bw := f32w(a), f32w(b)
 	out := t.new(a.R, a.C)
@@ -166,29 +157,7 @@ func (t *Tape) rowsF32(a *V, idx []int) *V {
 	return out
 }
 
-func (t *Tape) dropoutF32(a *V, p float64, rng func() float64) *V {
-	aw := f32w(a)
-	out := t.new(a.R, a.C)
-	scale := float32(1 / (1 - p))
-	for i := range aw {
-		if rng() >= p {
-			out.W32[i] = aw[i] * scale
-		}
-	}
-	return out
-}
-
-func (t *Tape) softmaxRowsMaskedF32(a *V, mask []float64) *V {
-	B, T := a.R, a.C
-	aw := f32w(a)
-	out := t.new(B, T)
-	for b := 0; b < B; b++ {
-		softmaxRowMasked32(out.W32[b*T:(b+1)*T], aw[b*T:(b+1)*T], mask[b*T:(b+1)*T])
-	}
-	return out
-}
-
-func (t *Tape) softmaxRowsMaskedGroupedF32(a *V, mask []float64, groups []int) *V {
+func (t *Tape) softmaxRowsMaskedF32(a *V, mask []float64, groups []int) *V {
 	L, T := a.R, a.C
 	aw := f32w(a)
 	out := t.new(L, T)
@@ -247,17 +216,6 @@ func (t *Tape) stackRowsF32(vs []*V, T, B, C int) *V {
 	return out
 }
 
-func (t *Tape) maskRowsF32(a *V, mask []float64) *V {
-	aw := f32w(a)
-	out := t.new(a.R, a.C)
-	for i := 0; i < a.R; i++ {
-		if mask[i] != 0 {
-			copy(out.W32[i*a.C:(i+1)*a.C], aw[i*a.C:(i+1)*a.C])
-		}
-	}
-	return out
-}
-
 func (t *Tape) blendF32(a, b *V, mask []float64) *V {
 	aw, bw := f32w(a), f32w(b)
 	out := t.new(a.R, a.C)
@@ -308,29 +266,6 @@ func (t *Tape) addRowsConstF32(a *V, c []float64) *V {
 	out := t.new(a.R, a.C)
 	for i := range aw {
 		out.W32[i] = aw[i] + float32(c[i])
-	}
-	return out
-}
-
-func (t *Tape) gatherRowBlocksF32(a *V, idx []int, block, nb, stride int) *V {
-	aw := f32w(a)
-	out := t.new(len(idx)*block, a.C)
-	for i, id := range idx {
-		if id < 0 || id >= nb {
-			panic(fmt.Sprintf("ad: GatherRowBlocks index %d out of %d blocks", id, nb))
-		}
-		copy(out.W32[i*stride:(i+1)*stride], aw[id*stride:(id+1)*stride])
-	}
-	return out
-}
-
-func (t *Tape) stackRowBlocksF32(vs []*V, block, C int) *V {
-	out := t.new(len(vs)*block, C)
-	for i, v := range vs {
-		if v.C != C || v.R > block {
-			panic(fmt.Sprintf("ad: StackRowBlocks %dx%d into %d-row blocks of %d cols", v.R, v.C, block, C))
-		}
-		copy(out.W32[i*block*C:], f32w(v))
 	}
 	return out
 }

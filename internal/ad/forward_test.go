@@ -14,9 +14,10 @@ func chain(t *Tape, a, b *V) *V {
 	cat := t.ConcatCols(h, t.Scale(h, 0.5)) // [2,6]
 	s := t.SliceCols(cat, 1, 4)             // [2,3]
 	r := t.Rows(s, []int{1, 0, 1})          // [3,3]
-	sm := t.SoftmaxRowsMasked(r, []float64{1, 1, 0, 1, 0, 1, 1, 1, 1})
+	groups := []int{0, 1, 2}
+	sm := t.SoftmaxRowsMasked(r, []float64{1, 1, 0, 1, 0, 1, 1, 1, 1}, groups)
 	stack := t.StackRows([]*V{r, s2r(t, s), r}) // [9,3], T=3 per example
-	return t.WeightedSum(sm, stack, 3)          // [3,3]
+	return t.WeightedSum(sm, stack, groups, 3)  // [3,3]
 }
 
 // s2r pads a [2,3] value to [3,3] by gathering rows, keeping shapes

@@ -11,7 +11,7 @@ import "math"
 //
 //  1. Storage and arithmetic are float32: ~2^-24 unit roundoff instead
 //     of 2^-53. The matmuls keep the band-fused blocking and ascending-p
-//     order; the dot products (NT matmul, attention scores) stripe their
+//     order; the attention-score dot products stripe their
 //     accumulation across 16 fixed lanes. The order is fixed, so results
 //     are deterministic across runs and worker counts for a given host.
 //  2. Multiply-adds round once per step, and there are no skip-zero
@@ -126,95 +126,10 @@ func matmul32(out, a, b []float32, r, k, c int) {
 	}
 }
 
-// matmulNT32 computes out += a @ b^T with a [r,k], b [c,k], out [r,c].
-// Both operands of every output element are contiguous rows, so each
-// element is one striped fused dot (no packed panel).
-func matmulNT32(out, a, b []float32, r, k, c int) {
-	for i := 0; i < r; i++ {
-		ai := a[i*k : (i+1)*k]
-		oi := out[i*c : (i+1)*c]
-		for j := 0; j < c; j++ {
-			oi[j] += dot32(ai, b[j*k:(j+1)*k])
-		}
-	}
-}
-
-// matmulTN32 computes out += a^T @ b with a [k,r], b [k,c], out [r,c]:
-// the float32 sibling of matmulTN, same band-fused blocking.
-func matmulTN32(out, a, b []float32, r, k, c int) {
-	ib := r - r%blockDim
-	for i := 0; i < ib; i += blockDim {
-		o0 := out[i*c : i*c+c : i*c+c]
-		o1 := out[(i+1)*c : (i+1)*c+c : (i+1)*c+c]
-		o2 := out[(i+2)*c : (i+2)*c+c : (i+2)*c+c]
-		o3 := out[(i+3)*c : (i+3)*c+c : (i+3)*c+c]
-		p := 0
-		for ; p+1 < k; p += 2 {
-			av00, av01, av02, av03 := a[p*r+i], a[p*r+i+1], a[p*r+i+2], a[p*r+i+3]
-			av10, av11, av12, av13 := a[(p+1)*r+i], a[(p+1)*r+i+1], a[(p+1)*r+i+2], a[(p+1)*r+i+3]
-			bp := b[p*c : p*c+c : p*c+c]
-			bq := b[(p+1)*c : (p+1)*c+c : (p+1)*c+c]
-			if useFMA && c >= avxMinC {
-				av := [8]float32{av00, av01, av02, av03, av10, av11, av12, av13}
-				band2pFMA32(&o0[0], &o1[0], &o2[0], &o3[0], &bp[0], &bq[0], &av, c)
-				continue
-			}
-			for j, bv0 := range bp {
-				bv1 := bq[j]
-				o0[j] = fmaf(av10, bv1, fmaf(av00, bv0, o0[j]))
-				o1[j] = fmaf(av11, bv1, fmaf(av01, bv0, o1[j]))
-				o2[j] = fmaf(av12, bv1, fmaf(av02, bv0, o2[j]))
-				o3[j] = fmaf(av13, bv1, fmaf(av03, bv0, o3[j]))
-			}
-		}
-		if p < k { // odd k tail
-			bp := b[p*c : p*c+c : p*c+c]
-			axpy32(o0, bp, a[p*r+i])
-			axpy32(o1, bp, a[p*r+i+1])
-			axpy32(o2, bp, a[p*r+i+2])
-			axpy32(o3, bp, a[p*r+i+3])
-		}
-	}
-	// Remainder rows: p-outer fused axpy over the tail rows of out.
-	if ib < r {
-		for p := 0; p < k; p++ {
-			ap := a[p*r : p*r+r : p*r+r]
-			bp := b[p*c : p*c+c : p*c+c]
-			for i := ib; i < r; i++ {
-				axpy32(out[i*c:i*c+c:i*c+c], bp, ap[i])
-			}
-		}
-	}
-}
-
-// attnScores32 fills out [B,T] with scores[b,t] = dec[b] · enc[b,t]:
-// one striped fused dot per score.
-func attnScores32(out, dec, enc []float32, B, T, H int) {
-	for b := 0; b < B; b++ {
-		db := dec[b*H : (b+1)*H]
-		ob := out[b*T : (b+1)*T]
-		eb := enc[b*T*H : (b+1)*T*H]
-		for tt := 0; tt < T; tt++ {
-			ob[tt] = dot32(db, eb[tt*H:(tt+1)*H])
-		}
-	}
-}
-
-// weightedSum32 fills out [B,H] with ctx[b] = sum_t alpha[b,t] *
-// enc[b,t]: one fused axpy per timestep, no skip-zero test.
-func weightedSum32(out, alpha, enc []float32, B, T, H int) {
-	for b := 0; b < B; b++ {
-		ob := out[b*H : (b+1)*H : (b+1)*H]
-		for tt := 0; tt < T; tt++ {
-			axpy32(ob, enc[(b*T+tt)*H:(b*T+tt+1)*H], alpha[b*T+tt])
-		}
-	}
-}
-
-// attnScoresGrouped32 fills out [L,T] with scores[l,t] =
-// dec[l] · enc[groups[l]*T+t]: attnScores32 reading each search's
-// shared encoder block in place.
-func attnScoresGrouped32(out, dec, enc []float32, groups []int, T, H int) {
+// attnScores32 fills out [L,T] with scores[l,t] =
+// dec[l] · enc[groups[l]*T+t]: one striped fused dot per score, each
+// row reading its encoder block in place.
+func attnScores32(out, dec, enc []float32, groups []int, T, H int) {
 	for l, g := range groups {
 		dl := dec[l*H : (l+1)*H]
 		ob := out[l*T : (l+1)*T]
@@ -225,9 +140,9 @@ func attnScoresGrouped32(out, dec, enc []float32, groups []int, T, H int) {
 	}
 }
 
-// weightedSumGrouped32 fills out [L,H] with ctx[l] = sum_t alpha[l,t] *
-// enc[groups[l]*T+t]: weightedSum32 over shared encoder blocks.
-func weightedSumGrouped32(out, alpha, enc []float32, groups []int, T, H int) {
+// weightedSum32 fills out [L,H] with ctx[l] = sum_t alpha[l,t] *
+// enc[groups[l]*T+t]: one fused axpy per timestep, no skip-zero test.
+func weightedSum32(out, alpha, enc []float32, groups []int, T, H int) {
 	for l, g := range groups {
 		ob := out[l*H : (l+1)*H : (l+1)*H]
 		eb := enc[g*T*H : (g+1)*T*H]

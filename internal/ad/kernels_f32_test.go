@@ -7,35 +7,6 @@ import (
 	"testing"
 )
 
-// f32KernelCase pairs a float32 kernel with the exact float64 scalar
-// reference it drifts from. The reference runs on float64 copies of the
-// same float32 inputs, so its result is exact at the scale of float32
-// rounding and ULP distances are measured in float32 bit space.
-type f32KernelCase struct {
-	name       string
-	f32        func(out, a, b []float32, r, k, c int)
-	exact      func(out, a, b []float64, r, k, c int)
-	aLen, bLen func(r, k, c int) int
-}
-
-var f32KernelCases = []f32KernelCase{
-	{
-		name: "NN", f32: matmul32, exact: matmulScalar,
-		aLen: func(r, k, c int) int { return r * k },
-		bLen: func(r, k, c int) int { return k * c },
-	},
-	{
-		name: "NT", f32: matmulNT32, exact: matmulNTScalar,
-		aLen: func(r, k, c int) int { return r * k },
-		bLen: func(r, k, c int) int { return c * k },
-	},
-	{
-		name: "TN", f32: matmulTN32, exact: matmulTNScalar,
-		aLen: func(r, k, c int) int { return k * r },
-		bLen: func(r, k, c int) int { return k * c },
-	},
-}
-
 // ulpDiff32 returns the distance between two finite same-sign float32s
 // in units in the last place (the number of representable float32s
 // between them).
@@ -81,51 +52,50 @@ func toF64(s []float32) []float64 {
 }
 
 // TestF32KernelsULPBound: on well-conditioned inputs (all operands in
-// [0.5, 2), positive increasing partial sums, no cancellation) each f32
-// kernel must stay within 2k+16 float32 ULPs of the exact float64
-// reference on the same inputs. Derivation: the fused chain performs at
-// most k float32 roundings (the float64 reference is exact at this
-// scale), each bounded by eps32 relative, so the drift is ~k ULPs;
-// 2k+16 adds slack for the stripe reduction and eps-vs-ULP slop. Both
-// the assembly and pure-Go paths must satisfy the bound, and — since
-// they may differ on round-to-nearest ties but share the accumulation
-// order — they must also stay within a few ULPs of each other.
+// [0.5, 2), positive increasing partial sums, no cancellation) the f32
+// matmul must stay within 2k+16 float32 ULPs of the exact float64
+// reference on the same inputs (which is exact at the scale of float32
+// rounding, so ULP distances are measured in float32 bit space).
+// Derivation: the fused chain performs at most k float32 roundings, each
+// bounded by eps32 relative, so the drift is ~k ULPs; 2k+16 adds slack
+// for eps-vs-ULP slop. Both the assembly and pure-Go paths must satisfy
+// the bound, and — since they may differ on round-to-nearest ties but
+// share the accumulation order — they must also stay within a few ULPs
+// of each other.
 func TestF32KernelsULPBound(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
-	for _, kc := range f32KernelCases {
-		t.Run(kc.name, func(t *testing.T) {
-			for trial := 0; trial < 100; trial++ {
-				R, K, C := 1+r.Intn(16), 1+r.Intn(65), 1+r.Intn(37)
-				a := make([]float32, kc.aLen(R, K, C))
-				b := make([]float32, kc.bLen(R, K, C))
-				randF32(r, a)
-				randF32(r, b)
-				want := make([]float64, R*C)
-				kc.exact(want, toF64(a), toF64(b), R, K, C)
-				asm, golang := withFMA32(func() []float32 {
-					out := make([]float32, R*C)
-					kc.f32(out, a, b, R, K, C)
-					return out
-				})
-				maxULP := uint32(2*K + 16)
-				for i := range want {
-					wf := float32(want[i])
-					if d := ulpDiff32(asm[i], wf); d > maxULP {
-						t.Fatalf("%s r=%d k=%d c=%d: out[%d] asm %g vs exact %g: %d ulps > %d",
-							kc.name, R, K, C, i, asm[i], wf, d, maxULP)
-					}
-					if d := ulpDiff32(golang[i], wf); d > maxULP {
-						t.Fatalf("%s r=%d k=%d c=%d: out[%d] go %g vs exact %g: %d ulps > %d",
-							kc.name, R, K, C, i, golang[i], wf, d, maxULP)
-					}
-					if d := ulpDiff32(asm[i], golang[i]); d > 4 {
-						t.Fatalf("%s r=%d k=%d c=%d: out[%d] asm %g vs go %g: %d ulps > 4",
-							kc.name, R, K, C, i, asm[i], golang[i], d)
-					}
+	t.Run("NN", func(t *testing.T) {
+		for trial := 0; trial < 100; trial++ {
+			R, K, C := 1+r.Intn(16), 1+r.Intn(65), 1+r.Intn(37)
+			a := make([]float32, R*K)
+			b := make([]float32, K*C)
+			randF32(r, a)
+			randF32(r, b)
+			want := make([]float64, R*C)
+			matmulScalar(want, toF64(a), toF64(b), R, K, C)
+			asm, golang := withFMA32(func() []float32 {
+				out := make([]float32, R*C)
+				matmul32(out, a, b, R, K, C)
+				return out
+			})
+			maxULP := uint32(2*K + 16)
+			for i := range want {
+				wf := float32(want[i])
+				if d := ulpDiff32(asm[i], wf); d > maxULP {
+					t.Fatalf("NN r=%d k=%d c=%d: out[%d] asm %g vs exact %g: %d ulps > %d",
+						R, K, C, i, asm[i], wf, d, maxULP)
+				}
+				if d := ulpDiff32(golang[i], wf); d > maxULP {
+					t.Fatalf("NN r=%d k=%d c=%d: out[%d] go %g vs exact %g: %d ulps > %d",
+						R, K, C, i, golang[i], wf, d, maxULP)
+				}
+				if d := ulpDiff32(asm[i], golang[i]); d > 4 {
+					t.Fatalf("NN r=%d k=%d c=%d: out[%d] asm %g vs go %g: %d ulps > 4",
+						R, K, C, i, asm[i], golang[i], d)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestF32KernelsErrorBound: on general inputs with mixed signs and wide
@@ -133,7 +103,7 @@ func TestF32KernelsULPBound(t *testing.T) {
 // under the condition-aware estimate 2(k+8)·eps32·(|out0| + Σ|a_p·b_p|)
 // — the forward-error analysis of a length-k+1 float32 summation, with
 // the stripe term folded into the slack. Checked on the NN kernel for
-// both dispatch paths (NT/TN share axpy32/dot32/band2pFMA32 with it).
+// both dispatch paths.
 func TestF32KernelsErrorBound(t *testing.T) {
 	const eps = 0x1p-24
 	r := rand.New(rand.NewSource(59))
@@ -175,8 +145,7 @@ func TestF32KernelsErrorBound(t *testing.T) {
 	}
 }
 
-// TestF32AttnKernels bounds the f32 attention kernels (plain and
-// grouped) against exact float64 references with the pairwise-summation
+// TestF32AttnKernels bounds the f32 attention kernels against exact float64 references with the pairwise-summation
 // condition bound, on both dispatch paths.
 func TestF32AttnKernels(t *testing.T) {
 	const eps = 0x1p-24
@@ -203,7 +172,7 @@ func TestF32AttnKernels(t *testing.T) {
 
 		sAsm, sGo := withFMA32(func() []float32 {
 			out := make([]float32, L*T)
-			attnScoresGrouped32(out, dec, enc, groups, T, H)
+			attnScores32(out, dec, enc, groups, T, H)
 			return out
 		})
 		for l, g := range groups {
@@ -217,7 +186,7 @@ func TestF32AttnKernels(t *testing.T) {
 				bound := 2*float64(H+16)*eps*cond + 1e-40
 				for _, got := range []float32{sAsm[l*T+tt], sGo[l*T+tt]} {
 					if d := math.Abs(float64(got) - exact); d > bound {
-						t.Fatalf("attnScoresGrouped32 L=%d T=%d H=%d: [%d,%d] |Δ|=%g > %g", L, T, H, l, tt, d, bound)
+						t.Fatalf("attnScores32 L=%d T=%d H=%d: [%d,%d] |Δ|=%g > %g", L, T, H, l, tt, d, bound)
 					}
 				}
 			}
@@ -225,7 +194,7 @@ func TestF32AttnKernels(t *testing.T) {
 
 		wAsm, wGo := withFMA32(func() []float32 {
 			out := make([]float32, L*H)
-			weightedSumGrouped32(out, alpha, enc, groups, T, H)
+			weightedSum32(out, alpha, enc, groups, T, H)
 			return out
 		})
 		for l, g := range groups {
@@ -239,53 +208,12 @@ func TestF32AttnKernels(t *testing.T) {
 				bound := 2*float64(T+16)*eps*cond + 1e-40
 				for _, got := range []float32{wAsm[l*H+j], wGo[l*H+j]} {
 					if d := math.Abs(float64(got) - exact); d > bound {
-						t.Fatalf("weightedSumGrouped32 L=%d T=%d H=%d: [%d,%d] |Δ|=%g > %g", L, T, H, l, j, d, bound)
+						t.Fatalf("weightedSum32 L=%d T=%d H=%d: [%d,%d] |Δ|=%g > %g", L, T, H, l, j, d, bound)
 					}
 				}
 			}
 		}
 
-		// Ungrouped variants: identity grouping over an L-block encoder
-		// must match the grouped kernels' arithmetic row for row.
-		if S == 1 && L*T*H <= len(enc)*L {
-			encT := make([]float32, L*T*H)
-			for i := range encT {
-				encT[i] = float32(r.NormFloat64())
-			}
-			scores := make([]float32, L*T)
-			attnScores32(scores, dec, encT, L, T, H)
-			for b := 0; b < L; b++ {
-				for tt := 0; tt < T; tt++ {
-					exact := 0.0
-					cond := 0.0
-					for j := 0; j < H; j++ {
-						p := float64(dec[b*H+j]) * float64(encT[(b*T+tt)*H+j])
-						exact += p
-						cond += math.Abs(p)
-					}
-					bound := 2*float64(H+16)*eps*cond + 1e-40
-					if d := math.Abs(float64(scores[b*T+tt]) - exact); d > bound {
-						t.Fatalf("attnScores32: [%d,%d] |Δ|=%g > %g", b, tt, d, bound)
-					}
-				}
-			}
-			ctx := make([]float32, L*H)
-			weightedSum32(ctx, alpha, encT, L, T, H)
-			for b := 0; b < L; b++ {
-				for j := 0; j < H; j++ {
-					exact, cond := 0.0, 0.0
-					for tt := 0; tt < T; tt++ {
-						p := float64(alpha[b*T+tt]) * float64(encT[(b*T+tt)*H+j])
-						exact += p
-						cond += math.Abs(p)
-					}
-					bound := 2*float64(T+16)*eps*cond + 1e-40
-					if d := math.Abs(float64(ctx[b*H+j]) - exact); d > bound {
-						t.Fatalf("weightedSum32: [%d,%d] |Δ|=%g > %g", b, j, d, bound)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -437,6 +365,14 @@ func TestF32Dispatch(t *testing.T) {
 		logits := New(2, 4)
 		NewForwardF32(nil).SoftmaxCrossEntropy(logits, []int{0, 1}, []float64{1, 1})
 	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Dropout on an f32 tape did not panic")
+			}
+		}()
+		NewForwardF32(nil).Dropout(New(2, 4), 0.5, rand.New(rand.NewSource(1)).Float64)
+	}()
 }
 
 // TestF32PoolRecycling pins that f32 values round-trip the pool through
@@ -471,7 +407,7 @@ func TestF32PoolRecycling(t *testing.T) {
 	}
 }
 
-// BenchmarkF32Kernels measures the float32 matmul kernels on the
+// BenchmarkF32Kernels measures the float32 matmul kernel on the
 // model's hot shapes; scripts/bench.sh records the results in
 // BENCH_infer.json.
 func BenchmarkF32Kernels(b *testing.B) {
@@ -484,39 +420,21 @@ func BenchmarkF32Kernels(b *testing.B) {
 		{"logits", 4, 64, 400},
 		{"square", 64, 64, 64},
 	}
-	kernels := map[string]func(out, a, bm []float32, r, k, c int){
-		"NN": matmul32, "NT": matmulNT32, "TN": matmulTN32,
-	}
-	for _, kn := range []string{"NN", "NT", "TN"} {
-		for _, sh := range shapes {
-			r, k, c := sh.r, sh.k, sh.c
-			if kn == "TN" {
-				r, k = k, r
+	for _, sh := range shapes {
+		r, k, c := sh.r, sh.k, sh.c
+		rng := rand.New(rand.NewSource(3))
+		a := make([]float32, r*k)
+		bm := make([]float32, k*c)
+		randF32(rng, a)
+		randF32(rng, bm)
+		out := make([]float32, r*c)
+		flops := float64(2 * r * k * c)
+		b.Run(fmt.Sprintf("NN/%s/f32", sh.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matmul32(out, a, bm, r, k, c)
 			}
-			var aLen, bLen int
-			switch kn {
-			case "NN":
-				aLen, bLen = r*k, k*c
-			case "NT":
-				aLen, bLen = r*k, c*k
-			case "TN":
-				aLen, bLen = k*r, k*c
-			}
-			rng := rand.New(rand.NewSource(3))
-			a := make([]float32, aLen)
-			bm := make([]float32, bLen)
-			randF32(rng, a)
-			randF32(rng, bm)
-			out := make([]float32, r*c)
-			flops := float64(2 * r * k * c)
-			fn := kernels[kn]
-			b.Run(fmt.Sprintf("%s/%s/f32", kn, sh.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					fn(out, a, bm, r, k, c)
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-			})
-		}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+		})
 	}
 }
 
@@ -649,7 +567,7 @@ func TestExpV32PositionInvariant(t *testing.T) {
 				mask[i] = 1
 			}
 			a.SyncF32()
-			got := NewForwardF32(nil).SoftmaxRowsMaskedGrouped(a, mask, []int{0}).W32[:T]
+			got := NewForwardF32(nil).SoftmaxRowsMasked(a, mask, []int{0}).W32[:T]
 			if ref == nil {
 				ref = got
 				continue

@@ -123,155 +123,10 @@ func logSoftmaxRow(out, row []float64) []float64 {
 	return out
 }
 
-// AttnScores computes Luong dot-product attention scores between a
-// decoder state dec [B,H] and per-example encoder states enc [B*T,H]
-// (row-major by example, then time): scores[b,t] = dec[b] · enc[b,t].
-func (t *Tape) AttnScores(dec, enc *V, T int) *V {
-	B, H := dec.R, dec.C
-	if enc.R != B*T || enc.C != H {
-		panic(fmt.Sprintf("ad: AttnScores enc %dx%d for B=%d T=%d H=%d", enc.R, enc.C, B, T, H))
-	}
-	if t.f32 && !t.grad {
-		out := t.new(B, T)
-		attnScores32(out.W32, f32w(dec), f32w(enc), B, T, H)
-		return out
-	}
-	out := t.new(B, T)
-	for b := 0; b < B; b++ {
-		db := dec.W[b*H : (b+1)*H]
-		for tt := 0; tt < T; tt++ {
-			eb := enc.W[(b*T+tt)*H : (b*T+tt+1)*H]
-			s := 0.0
-			for j := 0; j < H; j++ {
-				s += db[j] * eb[j]
-			}
-			out.W[b*T+tt] = s
-		}
-	}
-	if t.grad {
-		t.record(func() {
-			for b := 0; b < B; b++ {
-				db := dec.W[b*H : (b+1)*H]
-				dg := dec.G[b*H : (b+1)*H]
-				for tt := 0; tt < T; tt++ {
-					g := out.G[b*T+tt]
-					if g == 0 {
-						continue
-					}
-					eb := enc.W[(b*T+tt)*H : (b*T+tt+1)*H]
-					eg := enc.G[(b*T+tt)*H : (b*T+tt+1)*H]
-					for j := 0; j < H; j++ {
-						dg[j] += g * eb[j]
-						eg[j] += g * db[j]
-					}
-				}
-			}
-		})
-	}
-	return out
-}
-
-// SoftmaxRowsMasked applies a softmax over each row of a [B,T] matrix,
-// treating positions with mask[b*T+t]==0 as -inf (padding).
-func (t *Tape) SoftmaxRowsMasked(a *V, mask []float64) *V {
-	B, T := a.R, a.C
-	if len(mask) != B*T {
-		panic("ad: SoftmaxRowsMasked mask length mismatch")
-	}
-	if t.f32 && !t.grad {
-		return t.softmaxRowsMaskedF32(a, mask)
-	}
-	out := t.new(B, T)
-	for b := 0; b < B; b++ {
-		max := math.Inf(-1)
-		for tt := 0; tt < T; tt++ {
-			if mask[b*T+tt] != 0 && a.W[b*T+tt] > max {
-				max = a.W[b*T+tt]
-			}
-		}
-		if math.IsInf(max, -1) {
-			continue // fully masked row: all-zero attention
-		}
-		sum := 0.0
-		for tt := 0; tt < T; tt++ {
-			if mask[b*T+tt] != 0 {
-				e := math.Exp(a.W[b*T+tt] - max)
-				out.W[b*T+tt] = e
-				sum += e
-			}
-		}
-		for tt := 0; tt < T; tt++ {
-			out.W[b*T+tt] /= sum
-		}
-	}
-	if t.grad {
-		t.record(func() {
-			for b := 0; b < B; b++ {
-				// dL/dx_i = y_i * (g_i - sum_j g_j y_j)
-				dot := 0.0
-				for tt := 0; tt < T; tt++ {
-					dot += out.G[b*T+tt] * out.W[b*T+tt]
-				}
-				for tt := 0; tt < T; tt++ {
-					a.G[b*T+tt] += out.W[b*T+tt] * (out.G[b*T+tt] - dot)
-				}
-			}
-		})
-	}
-	return out
-}
-
-// WeightedSum computes per-example attention contexts: given weights
-// alpha [B,T] and encoder states enc [B*T,H], returns ctx [B,H] with
-// ctx[b] = sum_t alpha[b,t] * enc[b,t].
-func (t *Tape) WeightedSum(alpha, enc *V, H int) *V {
-	B, T := alpha.R, alpha.C
-	if enc.R != B*T || enc.C != H {
-		panic("ad: WeightedSum shape mismatch")
-	}
-	if t.f32 && !t.grad {
-		out := t.new(B, H)
-		weightedSum32(out.W32, f32w(alpha), f32w(enc), B, T, H)
-		return out
-	}
-	out := t.new(B, H)
-	for b := 0; b < B; b++ {
-		ob := out.W[b*H : (b+1)*H]
-		for tt := 0; tt < T; tt++ {
-			w := alpha.W[b*T+tt]
-			if w == 0 {
-				continue
-			}
-			eb := enc.W[(b*T+tt)*H : (b*T+tt+1)*H]
-			for j := 0; j < H; j++ {
-				ob[j] += w * eb[j]
-			}
-		}
-	}
-	if t.grad {
-		t.record(func() {
-			for b := 0; b < B; b++ {
-				og := out.G[b*H : (b+1)*H]
-				for tt := 0; tt < T; tt++ {
-					eb := enc.W[(b*T+tt)*H : (b*T+tt+1)*H]
-					eg := enc.G[(b*T+tt)*H : (b*T+tt+1)*H]
-					w := alpha.W[b*T+tt]
-					s := 0.0
-					for j := 0; j < H; j++ {
-						s += og[j] * eb[j]
-						eg[j] += og[j] * w
-					}
-					alpha.G[b*T+tt] += s
-				}
-			}
-		})
-	}
-	return out
-}
-
 // StackRows builds a [len(vs)*B, C] matrix interleaved by example: row
 // (b*T + t) is vs[t]'s row b. It converts a time-major sequence of [B,C]
-// states into the example-major layout AttnScores/WeightedSum expect.
+// states into the example-major block layout the attention ops read
+// with identity groups (block b holds example b's T states).
 func (t *Tape) StackRows(vs []*V) *V {
 	T := len(vs)
 	B, C := vs[0].R, vs[0].C
@@ -293,35 +148,6 @@ func (t *Tape) StackRows(vs []*V) *V {
 				for b := 0; b < B; b++ {
 					for j := 0; j < C; j++ {
 						v.G[b*C+j] += out.G[(b*T+tt)*C+j]
-					}
-				}
-			}
-		})
-	}
-	return out
-}
-
-// MaskRows zeroes rows whose mask entry is 0 (used to stop gradient and
-// state flow through padding timesteps).
-func (t *Tape) MaskRows(a *V, mask []float64) *V {
-	if len(mask) != a.R {
-		panic("ad: MaskRows mask length mismatch")
-	}
-	if t.f32 && !t.grad {
-		return t.maskRowsF32(a, mask)
-	}
-	out := t.new(a.R, a.C)
-	for i := 0; i < a.R; i++ {
-		if mask[i] != 0 {
-			copy(out.W[i*a.C:(i+1)*a.C], a.W[i*a.C:(i+1)*a.C])
-		}
-	}
-	if t.grad {
-		t.record(func() {
-			for i := 0; i < a.R; i++ {
-				if mask[i] != 0 {
-					for j := 0; j < a.C; j++ {
-						a.G[i*a.C+j] += out.G[i*a.C+j]
 					}
 				}
 			}

@@ -1,17 +1,20 @@
-// Grouped attention ops for shared-encoder beam decoding. The batched
-// beam decoder packs every live hypothesis — across all searches decoded
-// together — into one [L,H] batch, but each row only ever attends over
-// its own search's [T,H] encoder block. The tiled formulation
-// (GatherRowBlocks + AttnScores) materializes a copy of that block for
-// every row, multiplying attention memory traffic by beam width; the
-// grouped ops here take the packed [S*T,H] encoder matrix plus a
-// row→block map and read each search's block in place, so the attention
-// working set stays one block per search no matter how wide the beams
-// are. Every grouped op runs the exact per-row arithmetic of its tiled
-// counterpart (same fixed ascending-index accumulation order), which is
-// what keeps the batched decoder bitwise equal to the sequential
-// reference (TestGroupedAttnMatchesTiled, and transitively
-// TestPredictBatchedMatchesSequential in seq2seq).
+// Luong global-attention ops. One op set serves every attention in the
+// model: the decoder's attention during training, validation, the
+// sequential reference decoder and batched beam search, and the
+// Transformer encoder's self-attention and mean pool. Each op takes a
+// decoder batch of L rows, an encoder matrix of S consecutive [T,H]
+// blocks, and a row→block map groups: row l attends over block
+// groups[l], read in place.
+//
+// Training and the one-example-per-row callers pass identity groups
+// (groups[l] = l, one block per batch row). Beam search passes each live
+// hypothesis's search index, so every hypothesis of a search shares that
+// search's block and the attention working set stays one block per
+// search no matter how wide the beams are. A row's arithmetic depends
+// only on its own decoder row and its block (fixed ascending-index
+// accumulation), which is what keeps the batched decoder bitwise equal
+// to the sequential reference (TestGroupedAttnMatchesTiled, and
+// transitively TestPredictBatchedMatchesSequential in seq2seq).
 package ad
 
 import (
@@ -31,24 +34,21 @@ func checkGroups(op string, groups []int, rows, blocks int) {
 	}
 }
 
-// AttnScoresGrouped computes Luong dot-product attention scores between a
-// decoder batch dec [L,H] and shared encoder blocks enc [S*T,H]
-// (S = enc.R/T consecutive [T,H] blocks): scores[l,t] =
-// dec[l] · enc[groups[l]*T+t]. Row l reads block groups[l] in place —
-// no per-row tiled copy — with the same ascending-index accumulation as
-// AttnScores, so each row is bitwise equal to scoring it against a tile
-// of its block. Indices may repeat (all of a search's hypotheses share
-// one block); backward scatter-adds into the shared blocks in ascending
-// row order.
-func (t *Tape) AttnScoresGrouped(dec, enc *V, groups []int, T int) *V {
+// AttnScores computes Luong dot-product attention scores between a
+// decoder batch dec [L,H] and encoder blocks enc [S*T,H] (S = enc.R/T
+// consecutive [T,H] blocks): scores[l,t] = dec[l] · enc[groups[l]*T+t].
+// Groups may repeat (all of a search's hypotheses share one block) and
+// blocks may go unused; backward scatter-adds into the blocks in
+// ascending row order.
+func (t *Tape) AttnScores(dec, enc *V, groups []int, T int) *V {
 	L, H := dec.R, dec.C
 	if enc.C != H || T <= 0 || enc.R%T != 0 {
-		panic(fmt.Sprintf("ad: AttnScoresGrouped enc %dx%d for L=%d T=%d H=%d", enc.R, enc.C, L, T, H))
+		panic(fmt.Sprintf("ad: AttnScores enc %dx%d for L=%d T=%d H=%d", enc.R, enc.C, L, T, H))
 	}
-	checkGroups("AttnScoresGrouped", groups, L, enc.R/T)
+	checkGroups("AttnScores", groups, L, enc.R/T)
 	out := t.new(L, T)
 	if t.f32 && !t.grad {
-		attnScoresGrouped32(out.W32, f32w(dec), f32w(enc), groups, T, H)
+		attnScores32(out.W32, f32w(dec), f32w(enc), groups, T, H)
 		return out
 	}
 	for l := 0; l < L; l++ {
@@ -88,19 +88,18 @@ func (t *Tape) AttnScoresGrouped(dec, enc *V, groups []int, T int) *V {
 	return out
 }
 
-// SoftmaxRowsMaskedGrouped applies SoftmaxRowsMasked's per-row masked
-// softmax to a [L,T] score matrix whose row l uses mask block
-// mask[groups[l]*T : (groups[l]+1)*T] — the grouped sibling that spares
-// the decoder re-tiling the [S*T] mask per hypothesis row. A fully
-// masked row yields all-zero attention, exactly like SoftmaxRowsMasked.
-func (t *Tape) SoftmaxRowsMaskedGrouped(a *V, mask []float64, groups []int) *V {
+// SoftmaxRowsMasked applies a softmax over each row of a [L,T] score
+// matrix, treating positions where row l's mask block
+// mask[groups[l]*T : (groups[l]+1)*T] is 0 as -inf (padding). A fully
+// masked row yields all-zero attention.
+func (t *Tape) SoftmaxRowsMasked(a *V, mask []float64, groups []int) *V {
 	L, T := a.R, a.C
 	if T <= 0 || len(mask)%T != 0 {
-		panic(fmt.Sprintf("ad: SoftmaxRowsMaskedGrouped mask %d for T=%d", len(mask), T))
+		panic(fmt.Sprintf("ad: SoftmaxRowsMasked mask %d for T=%d", len(mask), T))
 	}
-	checkGroups("SoftmaxRowsMaskedGrouped", groups, L, len(mask)/T)
+	checkGroups("SoftmaxRowsMasked", groups, L, len(mask)/T)
 	if t.f32 && !t.grad {
-		return t.softmaxRowsMaskedGroupedF32(a, mask, groups)
+		return t.softmaxRowsMaskedF32(a, mask, groups)
 	}
 	out := t.new(L, T)
 	for l := 0; l < L; l++ {
@@ -143,22 +142,20 @@ func (t *Tape) SoftmaxRowsMaskedGrouped(a *V, mask []float64, groups []int) *V {
 	return out
 }
 
-// WeightedSumGrouped computes attention contexts against shared encoder
-// blocks: given weights alpha [L,T], blocks enc [S*T,H], and a row→block
-// map, returns ctx [L,H] with ctx[l] = sum_t alpha[l,t] *
-// enc[groups[l]*T+t]. The scalar path keeps WeightedSum's skip on zero
-// weights (masked positions contribute exactly nothing), so each row is
-// bitwise equal to the tiled path; the f32 path hands each block row
-// to the fused axpy kernel like weightedSum32.
-func (t *Tape) WeightedSumGrouped(alpha, enc *V, groups []int, H int) *V {
+// WeightedSum computes attention contexts: given weights alpha [L,T],
+// encoder blocks enc [S*T,H] and a row→block map, returns ctx [L,H] with
+// ctx[l] = sum_t alpha[l,t] * enc[groups[l]*T+t]. The exact path skips
+// zero weights, so masked positions contribute exactly nothing; the f32
+// path hands every block row to the fused axpy kernel.
+func (t *Tape) WeightedSum(alpha, enc *V, groups []int, H int) *V {
 	L, T := alpha.R, alpha.C
 	if enc.C != H || T <= 0 || enc.R%T != 0 {
-		panic(fmt.Sprintf("ad: WeightedSumGrouped enc %dx%d for L=%d T=%d H=%d", enc.R, enc.C, L, T, H))
+		panic(fmt.Sprintf("ad: WeightedSum enc %dx%d for L=%d T=%d H=%d", enc.R, enc.C, L, T, H))
 	}
-	checkGroups("WeightedSumGrouped", groups, L, enc.R/T)
+	checkGroups("WeightedSum", groups, L, enc.R/T)
 	out := t.new(L, H)
 	if t.f32 && !t.grad {
-		weightedSumGrouped32(out.W32, f32w(alpha), f32w(enc), groups, T, H)
+		weightedSum32(out.W32, f32w(alpha), f32w(enc), groups, T, H)
 		return out
 	}
 	for l := 0; l < L; l++ {

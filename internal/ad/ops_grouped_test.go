@@ -25,24 +25,25 @@ func groupedFixture(r *rand.Rand) (dec, enc *V, mask []float64, groups []int, T,
 	return dec, enc, mask, groups, T, H
 }
 
-// tiledAttn is the pre-grouped formulation: tile each row's block with
-// GatherRowBlocks, then run the per-example attention chain.
-func tiledAttn(tape *Tape, dec, enc *V, mask []float64, groups []int, T, H int) (scores, alpha, ctx *V) {
-	tile := tape.GatherRowBlocks(enc, groups, T)
-	tmask := make([]float64, 0, len(groups)*T)
-	for _, g := range groups {
-		tmask = append(tmask, mask[g*T:(g+1)*T]...)
+// tileBlocks copies each row's encoder block and mask block into a
+// per-row tile with plain copy: block l of the result is block
+// groups[l] of enc, so the tile pairs with identity groups.
+func tileBlocks(enc *V, mask []float64, groups []int, T int) (tile *V, tmask []float64) {
+	stride := T * enc.C
+	tile = New(len(groups)*T, enc.C)
+	tmask = make([]float64, len(groups)*T)
+	for l, g := range groups {
+		copy(tile.W[l*stride:(l+1)*stride], enc.W[g*stride:(g+1)*stride])
+		copy(tmask[l*T:(l+1)*T], mask[g*T:(g+1)*T])
 	}
-	scores = tape.AttnScores(dec, tile, T)
-	alpha = tape.SoftmaxRowsMasked(scores, tmask)
-	ctx = tape.WeightedSum(alpha, tile, H)
-	return scores, alpha, ctx
+	return tile, tmask
 }
 
-func groupedAttn(tape *Tape, dec, enc *V, mask []float64, groups []int, T, H int) (scores, alpha, ctx *V) {
-	scores = tape.AttnScoresGrouped(dec, enc, groups, T)
-	alpha = tape.SoftmaxRowsMaskedGrouped(scores, mask, groups)
-	ctx = tape.WeightedSumGrouped(alpha, enc, groups, H)
+// attnChain runs scores → masked softmax → context over enc's blocks.
+func attnChain(tape *Tape, dec, enc *V, mask []float64, groups []int, T, H int) (scores, alpha, ctx *V) {
+	scores = tape.AttnScores(dec, enc, groups, T)
+	alpha = tape.SoftmaxRowsMasked(scores, mask, groups)
+	ctx = tape.WeightedSum(alpha, enc, groups, H)
 	return scores, alpha, ctx
 }
 
@@ -60,10 +61,12 @@ func equalVals(a, b *V) bool {
 	return true
 }
 
-// TestGroupedAttnMatchesTiled pins the grouped attention chain bitwise
-// to the tiled GatherRowBlocks formulation on both the exact and the
-// f32 forward paths — the equivalence the batched decoder's bitwise
-// oracle rests on after the tiling removal.
+// TestGroupedAttnMatchesTiled pins shared-block reads bitwise to the
+// same ops run with identity groups on a per-row tile of the blocks, on
+// both the exact and the f32 forward paths: a row's arithmetic depends
+// only on its own block, not on where the block is stored or how many
+// rows share it — the equivalence the batched decoder's bitwise oracle
+// rests on.
 func TestGroupedAttnMatchesTiled(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -75,19 +78,29 @@ func TestGroupedAttnMatchesTiled(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(91))
 			dec, enc, mask, groups, T, H := groupedFixture(r)
-			ws, wa, wc := tiledAttn(tc.mk(), dec, enc, mask, groups, T, H)
-			gs, ga, gc := groupedAttn(tc.mk(), dec, enc, mask, groups, T, H)
+			tile, tmask := tileBlocks(enc, mask, groups, T)
+			ws, wa, wc := attnChain(tc.mk(), dec, tile, tmask, identity(len(groups)), T, H)
+			gs, ga, gc := attnChain(tc.mk(), dec, enc, mask, groups, T, H)
 			if !equalVals(gs, ws) {
-				t.Errorf("AttnScoresGrouped differs from tiled AttnScores")
+				t.Errorf("shared-block AttnScores differs from the per-row tile")
 			}
 			if !equalVals(ga, wa) {
-				t.Errorf("SoftmaxRowsMaskedGrouped differs from tiled SoftmaxRowsMasked")
+				t.Errorf("shared-block SoftmaxRowsMasked differs from the per-row tile")
 			}
 			if !equalVals(gc, wc) {
-				t.Errorf("WeightedSumGrouped differs from tiled WeightedSum")
+				t.Errorf("shared-block WeightedSum differs from the per-row tile")
 			}
 		})
 	}
+}
+
+// identity returns the row→block map groups[l] = l.
+func identity(n int) []int {
+	g := make([]int, n)
+	for i := range g {
+		g[i] = i
+	}
+	return g
 }
 
 // TestGroupedAttnFullyMaskedRow pins the fully-masked-block contract:
@@ -104,7 +117,7 @@ func TestGroupedAttnFullyMaskedRow(t *testing.T) {
 		mask[T+tt] = 1
 	}
 	tape := NewForward(NewPool())
-	_, alpha, ctx := groupedAttn(tape, dec, enc, mask, groups, T, H)
+	_, alpha, ctx := attnChain(tape, dec, enc, mask, groups, T, H)
 	for tt := 0; tt < T; tt++ {
 		if alpha.W[T+tt] != 0 {
 			t.Fatalf("masked row alpha[%d] = %v, want 0", tt, alpha.W[T+tt])
@@ -118,48 +131,74 @@ func TestGroupedAttnFullyMaskedRow(t *testing.T) {
 }
 
 // TestGroupedAttnBackwardMatchesTiled seeds identical output gradients
-// through both formulations on recording tapes and compares every input
-// gradient. Shared-block gradients are mathematically the same sum of
-// per-row contributions, but the grouped backward accumulates them per
-// op (all WeightedSum rows, then all AttnScores rows) where the tiled
-// backward sums both ops into each tile copy before scattering — a
-// different rounding order — so the comparison is near-exact, not
-// bitwise. Only the forward pass (what beam decoding uses) carries the
-// bitwise contract; nothing trains through the grouped ops.
+// through shared-block reads and through identity groups on a per-row
+// tile (recording tapes), then scatter-adds the tile's gradient back
+// onto the blocks in ascending row order. The decoder gradient is
+// bitwise equal: each row's backward reads only its own block's values.
+// A shared block's gradient is the same sum of per-row contributions
+// in a different rounding order — the shared reads accumulate per op
+// (all WeightedSum rows, then all AttnScores rows) where the tile sums
+// both ops into each copy before the scatter — so it is compared
+// near-exactly. When every block is read by exactly one row (a
+// permutation; identity groups in particular) there is nothing to
+// reorder and the block gradients are bitwise equal too.
 func TestGroupedAttnBackwardMatchesTiled(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
-	decT, encT, mask, groups, T, H := groupedFixture(r)
-	decG := New(decT.R, decT.C)
-	encG := New(encT.R, encT.C)
-	copy(decG.W, decT.W)
-	copy(encG.W, encT.W)
-
-	seed := func(v *V) {
-		for i := range v.G {
-			v.G[i] = 0.01*float64(i%7) - 0.03
-		}
-	}
-	tapeT := NewTape()
-	_, _, ctxT := tiledAttn(tapeT, decT, encT, mask, groups, T, H)
-	seed(ctxT)
-	tapeT.Backward()
-
-	tapeG := NewTape()
-	_, _, ctxG := groupedAttn(tapeG, decG, encG, mask, groups, T, H)
-	seed(ctxG)
-	tapeG.Backward()
-
-	closeSlice := func(name string, got, want []float64) {
-		t.Helper()
-		for i := range want {
-			diff := math.Abs(got[i] - want[i])
-			if diff > 1e-12*(1+math.Abs(want[i])) {
-				t.Fatalf("%s gradient[%d]: grouped %v, tiled %v", name, i, got[i], want[i])
+	dec, enc, mask, shared, T, H := groupedFixture(r)
+	perm := []int{2, 0, 1} // every block read once, out of order
+	for _, tc := range []struct {
+		name    string
+		dec     *V
+		groups  []int
+		bitwise bool
+	}{
+		{"shared", dec, shared, false},
+		{"permutation", randV(r, len(perm), H), perm, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := func(v *V) {
+				for i := range v.G {
+					v.G[i] = 0.01*float64(i%7) - 0.03
+				}
 			}
-		}
+			decT := New(tc.dec.R, H)
+			copy(decT.W, tc.dec.W)
+			tile, tmask := tileBlocks(enc, mask, tc.groups, T)
+			tapeT := NewTape()
+			_, _, ctxT := attnChain(tapeT, decT, tile, tmask, identity(len(tc.groups)), T, H)
+			seed(ctxT)
+			tapeT.Backward()
+			stride := T * H
+			wantEnc := make([]float64, len(enc.W))
+			for l, g := range tc.groups {
+				for k, gv := range tile.G[l*stride : (l+1)*stride] {
+					wantEnc[g*stride+k] += gv
+				}
+			}
+
+			decG := New(tc.dec.R, H)
+			copy(decG.W, tc.dec.W)
+			encG := New(enc.R, enc.C)
+			copy(encG.W, enc.W)
+			tapeG := NewTape()
+			_, _, ctxG := attnChain(tapeG, decG, encG, mask, tc.groups, T, H)
+			seed(ctxG)
+			tapeG.Backward()
+
+			if !equalWSlice(decG.G, decT.G) {
+				t.Errorf("dec gradient differs from the per-row tile's")
+			}
+			for i, want := range wantEnc {
+				got := encG.G[i]
+				if tc.bitwise && math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("enc gradient[%d]: shared %v, tile %v (want bitwise)", i, got, want)
+				}
+				if diff := math.Abs(got - want); diff > 1e-12*(1+math.Abs(want)) {
+					t.Fatalf("enc gradient[%d]: shared %v, tile %v", i, got, want)
+				}
+			}
+		})
 	}
-	closeSlice("dec", decG.G, decT.G)
-	closeSlice("enc", encG.G, encT.G)
 }
 
 // TestGroupedAttnAllocsSteadyState pins the pooled steady state: once
@@ -182,7 +221,7 @@ func TestGroupedAttnAllocsSteadyState(t *testing.T) {
 			pool := NewPool()
 			tape := tc.mk(pool)
 			step := func() {
-				groupedAttn(tape, dec, enc, mask, groups, T, H)
+				attnChain(tape, dec, enc, mask, groups, T, H)
 				tape.Reset()
 			}
 			step() // warm the pool

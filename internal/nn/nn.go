@@ -175,7 +175,7 @@ func (l *LSTM) ZeroState(t *ad.Tape, batch int) State {
 // surviving hypothesis its parent's decoder state for the next step;
 // indices may repeat when several survivors share a parent.
 func GatherState(t *ad.Tape, s State, idx []int) State {
-	return State{H: t.GatherRows(s.H, idx), C: t.GatherRows(s.C, idx)}
+	return State{H: t.Rows(s.H, idx), C: t.Rows(s.C, idx)}
 }
 
 // Step advances the LSTM one timestep with input x [B, in]: one fused

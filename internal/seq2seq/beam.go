@@ -244,10 +244,10 @@ type mbeam struct {
 // block matrix, zero-padded past each search's real length with the
 // padding masked out of attention. That matrix and its mask are the
 // per-search attention operands, cached once at encode time
-// (encoded.operands) and read in place by every decode step. Each step
+// (encoded.ops) and read in place by every decode step. Each step
 // gathers the live hypotheses' decoder states into a [L, H] batch
-// (nn.GatherState) and decodes once with the grouped attention ops
-// (decodeStepGrouped): row l attends over shared block rowSearch[l]
+// (nn.GatherState) and decodes once (decodeStep with groups =
+// rowSearch): row l attends over shared block rowSearch[l]
 // directly — no per-hypothesis tiled copy, so attention memory traffic
 // per step is one [Tmax,H] block per search regardless of beam width —
 // then scores all rows with one LogSoftmaxRows. Every op involved is
@@ -294,7 +294,6 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 		padded[si] = pad(ids, Tmax)
 	}
 	enc := m.encode(tape, padded, false)
-	ops := enc.operands()                    // [S*Tmax, H] shared blocks + mask
 	stateH, stateC := enc.init.H, enc.init.C // [S, H]
 	// The cached attention operands feed every decode step in place:
 	// exempt them (and everything before them) from the per-step release
@@ -348,7 +347,7 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 			break
 		}
 		st := nn.GatherState(tape, nn.State{H: stateH, C: stateC}, gatherIdx)
-		newState, logits := m.decodeStepGrouped(tape, ops, rowSearch, st, prev)
+		newState, logits := m.decodeStep(tape, enc.ops, rowSearch, st, prev, false)
 		lps := tape.LogSoftmaxRows(logits)
 
 		for si := range searches {
@@ -444,6 +443,7 @@ func (m *Model) predictSequentialOn(tape *ad.Tape, src []string, k int) []Predic
 		ids = []int{UNK}
 	}
 	enc := m.encode(tape, [][]int{ids}, false)
+	groups := identityGroups(1) // every hypothesis is a batch of one row
 	// The encoder outputs feed attention at every step: exempt them from
 	// the per-step release cycle until the search is done.
 	tape.Keep()
@@ -470,7 +470,7 @@ func (m *Model) predictSequentialOn(tape *ad.Tape, src []string, k int) []Predic
 				continue
 			}
 			done = false
-			s, logits := m.decodeStep(tape, enc, b.state, []int{b.node.id}, false)
+			s, logits := m.decodeStep(tape, enc.ops, groups, b.state, []int{b.node.id}, false)
 			logProbs := tape.LogSoftmaxRow(logits.W)
 			for _, c := range topContinuations(logProbs, width, nil) {
 				next = append(next, cand{

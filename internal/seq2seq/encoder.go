@@ -148,5 +148,5 @@ func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool)
 		H: t.Tanh(m.bridgeH.Apply(t, hCat)),
 		C: t.Tanh(m.bridgeC.Apply(t, cCat)),
 	}
-	return encoded{states: stack, mask: flat, init: init, T: T}
+	return encoded{ops: attnOps{keys: stack, mask: flat, T: T}, init: init}
 }

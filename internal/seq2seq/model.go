@@ -264,33 +264,27 @@ func (m *Model) NumParams() int { return m.params.Count() }
 
 // encoded is the encoder's output for one batch.
 type encoded struct {
-	// states is [B*T, H], example-major, for attention.
-	states *ad.V
-	// mask is [B*T] with 1 for real tokens.
-	mask []float64
+	// ops holds the encoder states and mask, one [T,H] block per batch
+	// row, as the decoder's attention operands.
+	ops attnOps
 	// initial decoder state derived from the final encoder states.
 	init nn.State
-	T    int
 }
 
-// attnOps is the decoder's per-search attention operand cache: the
-// shared key/value blocks and mask a whole beam search attends over,
-// computed once at encode time and read in place by every decode step —
-// the LSTM+dot-attention analogue of a KV cache. With Luong dot
-// attention the keys and values are both the raw encoder states; an
-// encoder that projects separate keys/values (a cross-attention
-// Transformer decoder) would fill them here, once, instead of per step.
+// attnOps is the decoder's attention operand cache: the key/value
+// blocks and mask the decoder attends over, computed once at encode time
+// and read in place by every decode step — the LSTM+dot-attention
+// analogue of a KV cache. With Luong dot attention the keys and values
+// are both the raw encoder states; an encoder that projects separate
+// keys/values (a cross-attention Transformer decoder) would fill them
+// here, once, instead of per step.
 type attnOps struct {
-	// keys is [S*T, H]: S consecutive [T,H] blocks, one per search.
+	// keys is [B*T, H]: B consecutive [T,H] blocks, one per example
+	// (per search in beam decoding), example-major.
 	keys *ad.V
-	// mask is [S*T] with 1 for real source positions.
+	// mask is [B*T] with 1 for real source positions.
 	mask []float64
 	T    int
-}
-
-// operands returns the attention operands cached in the encoder output.
-func (e encoded) operands() attnOps {
-	return attnOps{keys: e.states, mask: e.mask, T: e.T}
 }
 
 // encode runs the configured encoder over a padded batch.
@@ -299,49 +293,37 @@ func (m *Model) encode(t *ad.Tape, srcIDs [][]int, train bool) encoded {
 	return m.enc.encode(m, t, srcIDs, train)
 }
 
-// decodeStep advances the decoder one step: prev token ids -> logits.
-func (m *Model) decodeStep(t *ad.Tape, enc encoded, s nn.State, prev []int, train bool) (nn.State, *ad.V) {
-	return m.decodeStepOn(t, enc.states, enc.mask, enc.T, s, prev, train)
+// identityGroups returns the attention row→block map of a batch with
+// one example per row: row i attends over encoder block i.
+func identityGroups(n int) []int {
+	g := make([]int, n)
+	for i := range g {
+		g[i] = i
+	}
+	return g
 }
 
-// decodeStepOn is decodeStep against an explicit encoder layout:
-// encStates is [B*T, H] row-major by batch row then time, mask is [B*T]
-// with 1 for real source positions, one example per batch row (training
-// and the sequential reference decoder; batched beam search uses
-// decodeStepGrouped). Every op in the chain is row-wise independent
-// with a fixed ascending-index accumulation order, so a row's outputs
-// do not depend on what other rows share the batch — the property the
-// batched/sequential decoder equivalence rests on.
-func (m *Model) decodeStepOn(t *ad.Tape, encStates *ad.V, mask []float64, T int, s nn.State, prev []int, train bool) (nn.State, *ad.V) {
+// decodeStep advances the decoder one step: prev token ids -> logits.
+// Row l of the [L,H] batch attends over block groups[l] of the attention
+// operands, read in place. Training, validation and the sequential
+// reference decoder pass identity groups (one example per row); batched
+// beam search passes each live hypothesis's search, so all of a search's
+// hypotheses share its [T,H] block and the attention working set does
+// not grow with beam width. train enables dropout. Every op in the chain
+// is row-wise independent with a fixed ascending-index accumulation
+// order, so a row's outputs do not depend on what other rows share the
+// batch — the property the batched/sequential decoder equivalence rests
+// on.
+func (m *Model) decodeStep(t *ad.Tape, ops attnOps, groups []int, s nn.State, prev []int, train bool) (nn.State, *ad.V) {
 	x := m.embTgt.Lookup(t, prev)
 	s = m.dec.Step(t, x, s)
-	scores := t.AttnScores(s.H, encStates, T)
-	alpha := t.SoftmaxRowsMasked(scores, mask)
-	ctx := t.WeightedSum(alpha, encStates, m.Cfg.Hidden)
+	scores := t.AttnScores(s.H, ops.keys, groups, ops.T)
+	alpha := t.SoftmaxRowsMasked(scores, ops.mask, groups)
+	ctx := t.WeightedSum(alpha, ops.keys, groups, m.Cfg.Hidden)
 	hTilde := t.Tanh(m.combine.Apply(t, t.ConcatCols(ctx, s.H)))
 	if train && m.Cfg.Dropout > 0 {
 		hTilde = t.Dropout(hTilde, m.Cfg.Dropout, m.rng.Float64)
 	}
-	logits := m.out.Apply(t, hTilde)
-	return s, logits
-}
-
-// decodeStepGrouped is the batched beam decoder's step: row l of the
-// [L,H] hypothesis batch attends over the shared encoder block
-// groups[l] of the encode-time operand cache, read in place by the
-// grouped attention ops — no per-hypothesis tiled copy, so the
-// attention working set is one [T,H] block per search regardless of
-// beam width. Inference-only (no dropout). Per row the chain runs
-// decodeStepOn's exact arithmetic (the grouped ops pin this bitwise
-// against the tiled formulation), preserving the batched/sequential
-// decoder equivalence.
-func (m *Model) decodeStepGrouped(t *ad.Tape, ops attnOps, groups []int, s nn.State, prev []int) (nn.State, *ad.V) {
-	x := m.embTgt.Lookup(t, prev)
-	s = m.dec.Step(t, x, s)
-	scores := t.AttnScoresGrouped(s.H, ops.keys, groups, ops.T)
-	alpha := t.SoftmaxRowsMaskedGrouped(scores, ops.mask, groups)
-	ctx := t.WeightedSumGrouped(alpha, ops.keys, groups, m.Cfg.Hidden)
-	hTilde := t.Tanh(m.combine.Apply(t, t.ConcatCols(ctx, s.H)))
 	logits := m.out.Apply(t, hTilde)
 	return s, logits
 }

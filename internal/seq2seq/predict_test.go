@@ -57,7 +57,7 @@ func referencePredict(m *Model, src []string, k int) []Prediction {
 				continue
 			}
 			done = false
-			s, logits := m.decodeStep(tape, enc, b.state, []int{b.seq[len(b.seq)-1]}, false)
+			s, logits := m.decodeStep(tape, enc.ops, []int{0}, b.state, []int{b.seq[len(b.seq)-1]}, false)
 			logProbs := ad.LogSoftmaxRow(logits.W)
 			type cand struct {
 				id int
@@ -567,14 +567,14 @@ func BenchmarkPredictBatched(b *testing.B) {
 
 // BenchmarkPredictSharedAttn sweeps beam width over the shared-encoder
 // attention decode path. Each hypothesis row attends over its search's
-// [Tmax,H] encoder block in place (decodeStepGrouped), so widening the
-// beam grows the decoder GEMMs but not attention's memory traffic; the
-// maxbuf-KiB metric reports the largest buffer the decode drew from its
-// pool. At narrow widths that is the shared encoder matrix (flat across
-// widths); at wide beams the decoder's own row-scaled matrices (logits,
-// gates) take over. The old tiled path instead drew one
-// [liveRows*Tmax,H] encoder copy per step — width times the shared
-// matrix — which dominated everything at every width.
+// [Tmax,H] encoder block in place (decodeStep's row→block map), so
+// widening the beam grows the decoder GEMMs but not attention's memory
+// traffic; the maxbuf-KiB metric reports the largest buffer the decode
+// drew from its pool. At narrow widths that is the shared encoder
+// matrix (flat across widths); at wide beams the decoder's own
+// row-scaled matrices (logits, gates) take over. The old tiled path
+// instead drew one [liveRows*Tmax,H] encoder copy per step — width
+// times the shared matrix — which dominated everything at every width.
 func BenchmarkPredictSharedAttn(b *testing.B) {
 	for _, width := range []int{5, 10, 20} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {

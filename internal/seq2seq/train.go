@@ -105,6 +105,7 @@ func (m *Model) batchLossSum(t *ad.Tape, b batch) (sum, tokens float64) {
 	enc := m.encode(t, b.src, false)
 	B := len(b.tgt)
 	Ttgt := len(b.tgt[0])
+	groups := identityGroups(B)
 	s := enc.init
 	for step := 0; step+1 < Ttgt; step++ {
 		prev := make([]int, B)
@@ -120,7 +121,7 @@ func (m *Model) batchLossSum(t *ad.Tape, b batch) (sum, tokens float64) {
 			}
 		}
 		var logits *ad.V
-		s, logits = m.decodeStep(t, enc, s, prev, false)
+		s, logits = m.decodeStep(t, enc.ops, groups, s, prev, false)
 		if n > 0 {
 			ce := t.SoftmaxCrossEntropySum(logits, targets, weights)
 			sum += ce.W[0]

@@ -126,6 +126,7 @@ func (m *Model) batchShardLoss(t *ad.Tape, b batch) (loss *ad.V, tokens float64)
 	enc := m.encode(t, b.src, true)
 	B := len(b.tgt)
 	Ttgt := len(b.tgt[0])
+	groups := identityGroups(B)
 	s := enc.init
 	for step := 0; step+1 < Ttgt; step++ {
 		prev := make([]int, B)
@@ -141,7 +142,7 @@ func (m *Model) batchShardLoss(t *ad.Tape, b batch) (loss *ad.V, tokens float64)
 			}
 		}
 		var logits *ad.V
-		s, logits = m.decodeStep(t, enc, s, prev, true)
+		s, logits = m.decodeStep(t, enc.ops, groups, s, prev, true)
 		if n == 0 {
 			continue
 		}

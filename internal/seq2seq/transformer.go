@@ -101,6 +101,9 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 		xs[tt] = t.AddRowsConst(x, full)
 	}
 
+	// One [T,H] key/value block per example: every query row of example
+	// b attends over block b.
+	groups := identityGroups(B)
 	scale := 1 / math.Sqrt(float64(H))
 	for _, layer := range e.layers {
 		// Self-attention: stack keys and values once, query per position.
@@ -116,9 +119,9 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 		V := t.StackRows(vs)
 		next := make([]*ad.V, T)
 		for tt := 0; tt < T; tt++ {
-			scores := t.Scale(t.AttnScores(qs[tt], K, T), scale)
-			alpha := t.SoftmaxRowsMasked(scores, flat)
-			ctx := t.WeightedSum(alpha, V, H)
+			scores := t.Scale(t.AttnScores(qs[tt], K, groups, T), scale)
+			alpha := t.SoftmaxRowsMasked(scores, flat, groups)
+			ctx := t.WeightedSum(alpha, V, groups, H)
 			attn := layer.wo.Apply(t, ctx)
 			if train && m.Cfg.Dropout > 0 {
 				attn = t.Dropout(attn, m.Cfg.Dropout, m.rng.Float64)
@@ -136,16 +139,18 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 
 	// Decoder init: masked mean pool over positions, bridged like the
 	// LSTM final states.
-	pooled := meanPool(t, xs, flat, B, T)
+	pooled := meanPool(t, xs, flat, groups, T)
 	init := nn.State{
 		H: t.Tanh(m.bridgeH.Apply(t, pooled)),
 		C: t.Tanh(m.bridgeC.Apply(t, pooled)),
 	}
-	return encoded{states: stack, mask: flat, init: init, T: T}
+	return encoded{ops: attnOps{keys: stack, mask: flat, T: T}, init: init}
 }
 
-// meanPool averages the non-padding positions of a time-major sequence.
-func meanPool(t *ad.Tape, xs []*ad.V, flat []float64, B, T int) *ad.V {
+// meanPool averages the non-padding positions of a time-major sequence;
+// groups is the identity map over its B examples.
+func meanPool(t *ad.Tape, xs []*ad.V, flat []float64, groups []int, T int) *ad.V {
+	B := len(groups)
 	// Build per-example weights 1/len as an attention-like weighted sum
 	// over the stacked states.
 	counts := make([]float64, B)
@@ -164,5 +169,5 @@ func meanPool(t *ad.Tape, xs []*ad.V, flat []float64, B, T int) *ad.V {
 		}
 	}
 	stack := t.StackRows(xs)
-	return t.WeightedSum(w, stack, xs[0].C)
+	return t.WeightedSum(w, stack, groups, xs[0].C)
 }

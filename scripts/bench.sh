@@ -8,8 +8,8 @@
 #   BENCH_predict.json  BenchmarkPredict{,Sequential,Batched},
 #                       BenchmarkEvalThroughput,
 #                       BenchmarkServerPredictConcurrent
-#   BENCH_infer.json    BenchmarkF32Kernels (f32 NN/NT/TN, asm vs
-#                       pure-Go), BenchmarkLSTMCell (the fused LSTM
+#   BENCH_infer.json    BenchmarkF32Kernels (the f32 NN matmul,
+#                       asm vs pure-Go), BenchmarkLSTMCell (the fused LSTM
 #                       cell vs the op composition it replaced,
 #                       forward and forward+backward),
 #                       BenchmarkPredictF32 (end-to-end full

@@ -32,6 +32,13 @@ go test -race -count=2 -run 'TestFitParallelGolden|TestFitParallelResumeMatchesU
 echo "== batched-predict determinism, fused LSTM cell, recycling pool (-count=2 to vary scheduling) =="
 go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise|TestLSTMCellMatchesComposition|TestLSTMCellF32TracksComposition|TestProjectStepsMatchesPerStep|TestExpV32PositionInvariant|TestPredictF32GroupInvariant|TestPredictSteadyStateAllocs|TestPoolRetentionBounded|TestPoolRetentionCapped|TestLoadRejectsHostileConfig' \
 	./internal/seq2seq ./internal/ad
+echo "== attention ops and trained-weight pin (-count=2 to vary scheduling) =="
+# One attention op set serves training (identity groups) and beam search
+# (shared blocks): shared-block reads must match a per-row tile bitwise,
+# the backward must pass finite differences on both layouts, and a tiny
+# Fit of each encoder must reproduce its pinned weight hash.
+go test -race -count=2 -run 'TestGroupedAttnMatchesTiled|TestGroupedAttnBackwardMatchesTiled|TestGradAttention|TestFitWeightsPinned' \
+	./internal/ad ./internal/seq2seq
 echo "== server stress: deadlines, mixed engines, hot swap, shutdown (-count=2) =="
 go test -race -count=2 -run 'TestServerStressMixedDeadlines|TestMixedEngineStressShutdown|TestConcurrentRequests|TestHotSwapUnderLoad' \
 	./internal/server
